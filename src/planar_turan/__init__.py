@@ -12,11 +12,11 @@ from .canonical import (CanonicalForm, are_isomorphic, automorphism_count,
                         canonical_form, canonical_labeling)
 from .constructions import (CertificationError, Certification,
                             ConstructionError, ConstructionOutput,
-                            ConstructionSpec, blowup_independent_set,
-                            build_construction, ck_c4free_parallel,
-                            conjecture_family, cycle_blowup,
-                            even_tree_parallel_paths, pentagon_extremal,
-                            tree_beta_blowup)
+                            ConstructionSpec, GrowthProbe,
+                            blowup_independent_set, build_construction,
+                            ck_c4free_parallel, conjecture_family,
+                            cycle_blowup, even_tree_parallel_paths,
+                            growth_probe, pentagon_extremal, tree_beta_blowup)
 from .counting import (EmpiricalBound, Pattern, count_copies,
                        count_injective_homs, count_paths_between,
                        count_tripod_vertices, probe_bounded_paths)
@@ -30,9 +30,8 @@ from .graph6 import from_graph6, to_graph6
 from .params import (BetaWitness, TreePartition, beta, degeneracy,
                      independence_number, min_edge_degree_sum, tree_partition)
 from .planarity import PlanarityVerdict, is_planar
-from .search import (ExtremalRecord, GrowthProbe, SearchBudget,
-                     SearchIncomplete, enumerate_constrained, extremal_number,
-                     growth_probe)
+from .search import (ExtremalRecord, SearchBudget, SearchIncomplete,
+                     enumerate_constrained, extremal_number)
 from .verify import VerificationReport, run_claim
 
 __version__ = "0.1.0"

@@ -14,20 +14,6 @@ from itertools import combinations, permutations
 from .graph import Graph
 
 
-def canon_code_by_permutations(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Lexicographically least edge list over all n! relabelings."""
-    best: tuple[tuple[int, int], ...] | None = None
-    verts = range(g.n)
-    for perm in permutations(verts):
-        edges = tuple(sorted(
-            (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-            for u, v in g.edges))
-        if best is None or edges < best:
-            best = edges
-    assert best is not None or g.n == 0
-    return g.n, best if best is not None else ()
-
-
 def are_isomorphic_brute(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False

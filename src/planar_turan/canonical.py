@@ -13,8 +13,7 @@ and the desk-scale contracts never need more.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph, build_graph
 
@@ -23,7 +22,7 @@ _ISO_CAP = 64
 
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
-    """Canonical edge list plus a stable digest.
+    """Canonical edge list.
 
     Two graphs are isomorphic exactly when their CanonicalForms are
     equal.  The vertex count is part of the form: isolated vertices
@@ -32,15 +31,9 @@ class CanonicalForm:
 
     vertex_count: int
     edge_list: tuple[tuple[int, int], ...]
-    digest: str = field(compare=False)
 
     def as_graph(self) -> Graph:
         return build_graph(self.vertex_count, self.edge_list)
-
-
-def _digest(n: int, edges: tuple[tuple[int, int], ...]) -> str:
-    payload = f"{n}:" + ",".join(f"{u}-{v}" for u, v in edges)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _check_cap(g: Graph) -> None:
@@ -170,7 +163,7 @@ def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...], list[tu
     edges = tuple(sorted(
         (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
         for u, v in g.edges))
-    form = CanonicalForm(g.n, edges, _digest(g.n, edges))
+    form = CanonicalForm(g.n, edges)
     return form, tuple(pos), search.generators
 
 

@@ -194,9 +194,6 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.family not in CONSTRUCTION_FAMILIES:
-        raise UsageError(f"unknown family {args.family!r}; known: "
-                         + ", ".join(CONSTRUCTION_FAMILIES))
     spec = ConstructionSpec(args.family, _parse_params(args.params))
     try:
         out = build_construction(spec, n=args.n)

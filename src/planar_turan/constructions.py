@@ -14,6 +14,8 @@ vertices.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 
 from .counting import Pattern, count_copies
@@ -365,7 +367,7 @@ def conjecture_family(k: int, ell: int, n: int, *,
 
 
 # ======================================================================
-# Registry used by the CLI and the growth probes
+# Registry used by the CLI, the verify claims and the growth probes
 # ======================================================================
 
 @dataclass(frozen=True)
@@ -376,45 +378,63 @@ class ConstructionSpec:
     params: dict
 
 
+# family -> (builder, names of its positional parameters)
+CONSTRUCTION_FAMILIES = {
+    "tree_beta_blowup": (tree_beta_blowup, ("tree", "n")),
+    "cycle_blowup": (cycle_blowup, ("k", "n")),
+    "even_tree_parallel_paths": (even_tree_parallel_paths, ("tree", "ell", "n")),
+    "pentagon_extremal": (pentagon_extremal, ("t", "s")),
+    "ck_c4free_parallel": (ck_c4free_parallel, ("k", "n")),
+    "conjecture_family": (conjecture_family, ("k", "ell", "n")),
+}
+
+
 def build_construction(spec: ConstructionSpec, n: int | None = None,
                        *, count_cap: int = COUNT_CERT_CAP) -> ConstructionOutput:
     """Dispatch on spec.family.  `n` overrides params['n'] when given."""
-    family = spec.family
+    if spec.family not in CONSTRUCTION_FAMILIES:
+        raise ConstructionError(
+            f"unknown construction family {spec.family!r}; known: "
+            + ", ".join(CONSTRUCTION_FAMILIES))
+    builder, names = CONSTRUCTION_FAMILIES[spec.family]
     p = dict(spec.params)
     if n is not None:
         p["n"] = n
-    try:
-        if family == "tree_beta_blowup":
-            return tree_beta_blowup(p["tree"], p["n"], count_cap=count_cap)
-        if family == "cycle_blowup":
-            return cycle_blowup(p["k"], p["n"], count_cap=count_cap)
-        if family == "even_tree_parallel_paths":
-            return even_tree_parallel_paths(p["tree"], p["ell"], p["n"],
-                                            count_cap=count_cap)
-        if family == "pentagon_extremal":
-            return pentagon_extremal(p["t"], p["s"], count_cap=count_cap)
-        if family == "ck_c4free_parallel":
-            return ck_c4free_parallel(p["k"], p["n"], count_cap=count_cap)
-        if family == "conjecture_family":
-            return conjecture_family(p["k"], p["ell"], p["n"], count_cap=count_cap)
-    except KeyError as missing:
-        raise ConstructionError(f"family {family!r} needs parameter {missing}")
-    raise ConstructionError(f"unknown construction family {family!r}")
+    missing = [name for name in names if name not in p]
+    if missing:
+        raise ConstructionError(
+            f"family {spec.family!r} needs parameter {missing[0]!r}")
+    return builder(*(p[name] for name in names), count_cap=count_cap)
 
 
-CONSTRUCTION_FAMILIES = (
-    "tree_beta_blowup", "cycle_blowup", "even_tree_parallel_paths",
-    "pentagon_extremal", "ck_c4free_parallel", "conjecture_family")
+@dataclass(frozen=True)
+class GrowthProbe:
+    spec: ConstructionSpec
+    points: tuple[tuple[int, int], ...]  # (n, count)
+    slope: float
+    intercept: float
+    residuals: tuple[float, ...]
 
 
-def probe_count(spec: ConstructionSpec, graph: Graph) -> int:
-    """Count the family's own pattern in a built instance, using the cycle
-    counter for cycle patterns and the copy counter for tree patterns."""
-    family = spec.family
-    if family in ("cycle_blowup", "ck_c4free_parallel", "conjecture_family"):
-        return count_cycles(graph, spec.params["k"])
-    if family == "pentagon_extremal":
-        return count_cycles(graph, 5)
-    if family in ("tree_beta_blowup", "even_tree_parallel_paths"):
-        return count_copies(spec.params["tree"], graph)
-    raise ConstructionError(f"unknown construction family {family!r}")
+def growth_probe(spec: ConstructionSpec, n_values: list[int]) -> GrowthProbe:
+    """Build the family at each n, certify its own pattern count, and fit a
+    least-squares line to log(count) versus log(n)."""
+    if len(set(n_values)) < 3:
+        raise ValueError("need at least 3 distinct n values")
+    points: list[tuple[int, int]] = []
+    for n in sorted(set(n_values)):
+        # builders never exceed their budget n, so a cap of n always recounts
+        c = build_construction(spec, n=n, count_cap=n).certification.computed_count
+        if c is None:
+            raise ConstructionError(f"family {spec.family!r} is not sized by n")
+        if c > 0:
+            points.append((n, c))
+    if len(points) < 3:
+        raise ValueError(f"only {len(points)} usable points (zero counts dropped)")
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(c) for _, c in points]
+    if len(set(xs)) == 1:
+        raise ValueError("all n values coincide after filtering")
+    slope, intercept = statistics.linear_regression(xs, ys)
+    residuals = tuple(y - (slope * x + intercept) for x, y in zip(xs, ys))
+    return GrowthProbe(spec, tuple(points), slope, intercept, residuals)

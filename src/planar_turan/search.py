@@ -15,18 +15,16 @@ quantifies over all graphs on n vertices, not only connected ones.
 from __future__ import annotations
 
 import json
-import math
 import os
-import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from .canonical import CanonicalForm, canonical_form, canonical_labeling
-from .constructions import ConstructionSpec, build_construction, probe_count
 from .counting import Pattern, count_copies
 from .cycles import EMPTY_FAMILY, ForbiddenFamily, count_cycles, is_family_free
-from .graph import Graph, build_graph, empty_graph, is_connected
+from .graph import Graph, empty_graph, is_connected
 from .graph6 import from_graph6, to_graph6
 from .planarity import is_planar
 
@@ -36,7 +34,7 @@ HARD_VERTEX_CAP = 9
 
 
 class SearchIncomplete(RuntimeError):
-    """Raised by the raw enumeration stream when its deadline passes."""
+    """Raised by the augmentation loop when its deadline passes."""
 
 
 @dataclass(frozen=True)
@@ -62,15 +60,6 @@ class ExtremalRecord:
     graphs_explored: int
     elapsed: float = field(compare=False)
     status: str = "complete"  # "complete" or "incomplete"
-
-
-@dataclass(frozen=True)
-class GrowthProbe:
-    spec: ConstructionSpec
-    points: tuple[tuple[int, int], ...]  # (n, count)
-    slope: float
-    intercept: float
-    residuals: tuple[float, ...]
 
 
 # ======================================================================
@@ -111,6 +100,26 @@ def _check_cap(n: int, budget: SearchBudget) -> None:
             f"max_vertices up to {HARD_VERTEX_CAP} to opt in to larger runs")
 
 
+def _grow(level: list[Graph], steps: int, family: ForbiddenFamily,
+          require_planar: bool, deadline: float | None) -> list[Graph]:
+    """Augment every graph of `level` by `steps` vertices.  Raises
+    SearchIncomplete once the monotonic deadline has passed."""
+    for _ in range(steps):
+        nxt: list[Graph] = []
+        for parent in level:
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchIncomplete("time limit passed during augmentation")
+            nxt.extend(_accepted_children(parent, family, require_planar))
+        level = nxt
+    return level
+
+
+def _deadline(budget: SearchBudget) -> float | None:
+    if budget.time_limit is None:
+        return None
+    return time.monotonic() + budget.time_limit
+
+
 def enumerate_constrained(n: int, family: ForbiddenFamily = EMPTY_FAMILY,
                           require_planar: bool = True, *,
                           require_connected: bool = False,
@@ -122,19 +131,8 @@ def enumerate_constrained(n: int, family: ForbiddenFamily = EMPTY_FAMILY,
     _check_cap(n, budget)
     if n < 1:
         raise ValueError("n must be >= 1")
-    deadline = None
-    if budget.time_limit is not None:
-        deadline = time.monotonic() + budget.time_limit
-    level: list[Graph] = [empty_graph(1)]
-    for _ in range(n - 1):
-        nxt: list[Graph] = []
-        for parent in level:
-            if deadline is not None and time.monotonic() > deadline:
-                raise SearchIncomplete(
-                    f"time limit {budget.time_limit}s passed during enumeration")
-            nxt.extend(_accepted_children(parent, family, require_planar))
-        level = nxt
-    for g in level:
+    for g in _grow([empty_graph(1)], n - 1, family, require_planar,
+                   _deadline(budget)):
         if require_connected and not is_connected(g):
             continue
         yield g
@@ -156,31 +154,25 @@ def _count_pattern(pattern: Pattern, cycle_len: int | None, g: Graph) -> int:
     return count_copies(pattern, g)
 
 
-def _subtree_task(args: tuple) -> tuple[int, int, list[str]]:
-    """Extend one parent to the target level and scan it; returns
-    (explored, local_max, graph6 of witnesses attaining local_max)."""
-    (pn, pedges, target_n, fam_lengths, require_planar, require_connected,
-     hn, hedges, aut, cycle_len) = args
-    parent = build_graph(pn, list(pedges))
-    family = ForbiddenFamily(frozenset(fam_lengths))
-    pattern = Pattern(build_graph(hn, list(hedges)), aut)
-    level = [parent]
-    for _ in range(target_n - pn):
-        level = [c for p in level
-                 for c in _accepted_children(p, family, require_planar)]
+def _subtree_task(parent: Graph, *, steps: int, family: ForbiddenFamily,
+                  require_planar: bool, require_connected: bool,
+                  pattern: Pattern, cycle_len: int | None,
+                  deadline: float | None) -> tuple[int, int, list[Graph]]:
+    """Extend one parent by `steps` vertices and scan the result; returns
+    (explored, local_max, witnesses attaining local_max)."""
     explored = 0
     best = -1
-    witnesses: list[str] = []
-    for g in level:
+    witnesses: list[Graph] = []
+    for g in _grow([parent], steps, family, require_planar, deadline):
         if require_connected and not is_connected(g):
             continue
         explored += 1
         c = _count_pattern(pattern, cycle_len, g)
         if c > best:
             best = c
-            witnesses = [to_graph6(g)]
+            witnesses = [g]
         elif c == best:
-            witnesses.append(to_graph6(g))
+            witnesses.append(g)
     return explored, best, witnesses
 
 
@@ -196,70 +188,51 @@ def extremal_number(n: int, pattern: Graph | Pattern,
     if isinstance(pattern, Graph):
         pattern = Pattern.from_graph(pattern)
     cycle_len = _cycle_length_of(pattern.graph)
-    use_cache = use_cache and not require_connected
+    # The cache record holds neither the connectivity filter nor extra
+    # patterns, so such searches are never cached.
+    use_cache = (use_cache and not require_connected
+                 and not family.extra_patterns)
     cached = _cache_lookup(n, pattern, family, require_planar) if use_cache else None
     if cached is not None:
+        _recertify(cached, require_planar, cycle_len)
         return cached
     start = time.monotonic()
-    deadline = None
-    if budget.time_limit is not None:
-        deadline = start + budget.time_limit
+    deadline = _deadline(budget)
 
     # Serial trunk to level n-2, then one task per trunk graph for the
     # final two augmentation levels plus counting.
     split = max(1, n - 2)
-    trunk: list[Graph] = [empty_graph(1)]
-    status = "complete"
-    for _ in range(split - 1):
-        nxt: list[Graph] = []
-        for parent in trunk:
-            if deadline is not None and time.monotonic() > deadline:
-                status = "incomplete"
-                break
-            nxt.extend(_accepted_children(parent, family, require_planar))
-        if status == "incomplete":
-            break
-        trunk = nxt
-
+    task = partial(_subtree_task, steps=n - split, family=family,
+                   require_planar=require_planar,
+                   require_connected=require_connected, pattern=pattern,
+                   cycle_len=cycle_len, deadline=deadline)
     explored = 0
     best = -1
-    witness_g6: list[str] = []
+    found: list[Graph] = []
+    status = "complete"
+    try:
+        trunk = _grow([empty_graph(1)], split - 1, family, require_planar,
+                      deadline)
+        pool = None
+        if budget.parallel_width > 1 and len(trunk) > 1:
+            pool = ProcessPoolExecutor(max_workers=budget.parallel_width)
+        try:
+            results = pool.map(task, trunk) if pool else map(task, trunk)
+            for sub_explored, sub_best, sub_found in results:
+                explored += sub_explored
+                if sub_best > best:
+                    best = sub_best
+                    found = sub_found
+                elif sub_best == best:
+                    found.extend(sub_found)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+    except SearchIncomplete:
+        status = "incomplete"
 
-    def fold(result: tuple[int, int, list[str]]) -> None:
-        nonlocal explored, best, witness_g6
-        sub_explored, sub_best, sub_wits = result
-        explored += sub_explored
-        if sub_best > best:
-            best = sub_best
-            witness_g6 = list(sub_wits)
-        elif sub_best == best:
-            witness_g6.extend(sub_wits)
-
-    if status == "complete":
-        tasks = [(p.n, p.edges, n, family.sorted_lengths, require_planar,
-                  require_connected, pattern.graph.n, pattern.graph.edges,
-                  pattern.automorphisms, cycle_len) for p in trunk]
-        if budget.parallel_width > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=budget.parallel_width) as pool:
-                futures = [pool.submit(_subtree_task, t) for t in tasks]
-                for fut in futures:
-                    if deadline is not None and time.monotonic() > deadline:
-                        status = "incomplete"
-                        for other in futures:
-                            other.cancel()
-                        break
-                    fold(fut.result())
-        else:
-            for t in tasks:
-                if deadline is not None and time.monotonic() > deadline:
-                    status = "incomplete"
-                    break
-                fold(_subtree_task(t))
-
-    if best < 0:
-        best = 0
-        witness_g6 = []
-    witnesses = tuple(sorted(canonical_form(from_graph6(s)) for s in set(witness_g6)))
+    best = max(best, 0)  # -1 means no class was scanned, so found is empty
+    witnesses = tuple(sorted({canonical_form(g) for g in found}))
     record = ExtremalRecord(n, pattern, family, best, witnesses, explored,
                             time.monotonic() - start, status)
     if status == "complete":
@@ -278,32 +251,6 @@ def _recertify(record: ExtremalRecord, require_planar: bool,
               and _count_pattern(record.pattern, cycle_len, g) == record.max_count)
         if not ok:
             raise RuntimeError(f"witness failed re-certification: {to_graph6(g)}")
-
-
-# ======================================================================
-# Growth probes
-# ======================================================================
-
-def growth_probe(spec: ConstructionSpec, n_values: list[int]) -> GrowthProbe:
-    """Build the family at each n, count its own pattern, and fit a
-    least-squares line to log(count) versus log(n)."""
-    if len(set(n_values)) < 3:
-        raise ValueError("need at least 3 distinct n values")
-    points: list[tuple[int, int]] = []
-    for n in sorted(set(n_values)):
-        out = build_construction(spec, n=n, count_cap=0)
-        c = probe_count(spec, out.graph)
-        if c > 0:
-            points.append((n, c))
-    if len(points) < 3:
-        raise ValueError(f"only {len(points)} usable points (zero counts dropped)")
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(c) for _, c in points]
-    if len(set(xs)) == 1:
-        raise ValueError("all n values coincide after filtering")
-    slope, intercept = statistics.linear_regression(xs, ys)
-    residuals = tuple(y - (slope * x + intercept) for x, y in zip(xs, ys))
-    return GrowthProbe(spec, tuple(points), slope, intercept, residuals)
 
 
 # ======================================================================
@@ -358,15 +305,15 @@ def _cache_lookup(n: int, pattern: Pattern, family: ForbiddenFamily,
     want = _cache_key(n, pattern, family, require_planar)
     with open(path, encoding="ascii") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            got = (data["n"],
-                   to_graph6(canonical_form(from_graph6(data["pattern"])).as_graph()),
-                   tuple(data["family"]), data["require_planar"])
-            if got == want and data["status"] == "complete":
-                return record_from_json(data)
+            try:
+                data = json.loads(line)
+                got = (data["n"],
+                       to_graph6(canonical_form(from_graph6(data["pattern"])).as_graph()),
+                       tuple(data["family"]), data["require_planar"])
+                if got == want and data["status"] == "complete":
+                    return record_from_json(data)
+            except (ValueError, KeyError, TypeError):
+                continue  # blank, torn or foreign line: the search recomputes it
     return None
 
 

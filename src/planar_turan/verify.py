@@ -16,7 +16,7 @@ from .bruteforce import count_copies_brute, is_planar_by_subdivision
 from .canonical import automorphism_count
 from .constructions import (CertificationError, ConstructionError,
                             ConstructionSpec, build_construction,
-                            pentagon_extremal)
+                            growth_probe, pentagon_extremal)
 from .counting import (Pattern, count_copies, count_injective_homs,
                        probe_bounded_paths)
 from .cycles import EMPTY_FAMILY, ForbiddenFamily
@@ -24,7 +24,7 @@ from .graph import (Graph, build_graph, cycle_graph, empty_graph,
                     path_with_edges, star_graph)
 from .params import beta, degeneracy, min_edge_degree_sum, tree_partition
 from .planarity import is_planar
-from .search import SearchBudget, enumerate_constrained, extremal_number, growth_probe
+from .search import SearchBudget, enumerate_constrained, extremal_number
 
 GROWTH_TOLERANCE = 0.15
 # (family, params, n sweep, expected log-log slope)

@@ -8,14 +8,19 @@ class counts carry the check to n = 6 and 7.
 
 import json
 import os
+import time
 from itertools import combinations
 
 import pytest
 
+from planar_turan import search
+from planar_turan.bruteforce import (count_copies_brute, count_cycles_brute,
+                                     is_planar_by_subdivision)
 from planar_turan.canonical import canonical_form
 from planar_turan.counting import Pattern
 from planar_turan.cycles import EMPTY_FAMILY, ForbiddenFamily
-from planar_turan.graph import build_graph, cycle_graph, is_connected
+from planar_turan.graph import (build_graph, cycle_graph, is_connected,
+                                path_with_edges)
 from planar_turan.graph6 import from_graph6
 from planar_turan.planarity import is_planar
 from planar_turan.search import (
@@ -23,11 +28,11 @@ from planar_turan.search import (
     SearchIncomplete,
     enumerate_constrained,
     extremal_number,
-    growth_probe,
     record_from_json,
     record_to_json,
 )
-from planar_turan.constructions import ConstructionSpec
+from planar_turan.constructions import (ConstructionError, ConstructionSpec,
+                                        growth_probe)
 
 C4_FREE = ForbiddenFamily.of_lengths(4)
 
@@ -140,6 +145,36 @@ def test_extremal_time_limit_yields_incomplete():
     assert rec.status == "incomplete"
 
 
+def test_extremal_time_limit_bounds_wall_time_with_workers():
+    start = time.monotonic()
+    rec = extremal_number(8, cycle_graph(5), C4_FREE,
+                          SearchBudget(time_limit=1.0, parallel_width=2),
+                          use_cache=False)
+    assert rec.status == "incomplete"
+    assert time.monotonic() - start < 1.5
+
+
+def test_extremal_extra_patterns_match_brute_force():
+    # planar triangle-free graphs on 5 vertices scored by copies of P2,
+    # against every labeled graph; the maximum 9 is attained by K_{2,3}
+    pairs = list(combinations(range(5), 2))
+    p2 = path_with_edges(2)
+    scores = {}
+    for mask in range(1 << len(pairs)):
+        g = build_graph(5, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        if is_planar_by_subdivision(g) and count_cycles_brute(g, 3) == 0:
+            scores[canonical_form(g)] = count_copies_brute(p2, g)
+    best = max(scores.values())
+    assert best == 9
+    family = ForbiddenFamily(frozenset(), (cycle_graph(3),))
+    for width in (1, 2):
+        rec = extremal_number(5, p2, family, SearchBudget(parallel_width=width))
+        assert rec.status == "complete"
+        assert rec.max_count == best
+        assert set(rec.witnesses) == {f for f, c in scores.items() if c == best}
+        assert rec.graphs_explored == len(scores)
+
+
 def test_extremal_accepts_pattern_object():
     pat = Pattern.from_graph(cycle_graph(3), "C3")
     rec = extremal_number(5, pat, EMPTY_FAMILY)
@@ -170,6 +205,39 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert len(cache.read_text().strip().splitlines()) == 1
 
 
+def test_cache_bypassed_for_extra_patterns(tmp_path, monkeypatch):
+    monkeypatch.setenv("PLANAR_TURAN_CACHE", str(tmp_path))
+    assert extremal_number(6, cycle_graph(5), C4_FREE).max_count == 1
+    with_c5 = ForbiddenFamily(frozenset({4}), (cycle_graph(5),))
+    assert extremal_number(6, cycle_graph(5), with_c5).max_count == 0
+    lines = (tmp_path / "extremal.jsonl").read_text().strip().splitlines()
+    assert len(lines) == 1
+
+
+def test_cache_survives_a_torn_line_and_recertifies_hits(tmp_path, monkeypatch):
+    monkeypatch.setenv("PLANAR_TURAN_CACHE", str(tmp_path))
+    extremal_number(5, cycle_graph(5), C4_FREE)
+    with open(tmp_path / "extremal.jsonl", "a", encoding="ascii") as fh:
+        fh.write("garbage{\n")
+    first = extremal_number(6, cycle_graph(5), C4_FREE)  # a miss reads past it
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a cache hit must not search")
+
+    recertified = []
+    real_recertify = search._recertify
+
+    def spy(record, *args):
+        recertified.append(record)
+        real_recertify(record, *args)
+
+    monkeypatch.setattr(search, "_grow", no_search)
+    monkeypatch.setattr(search, "_recertify", spy)
+    second = extremal_number(6, cycle_graph(5), C4_FREE)
+    assert second == first
+    assert recertified == [second]
+
+
 def test_cache_ignored_when_disabled(tmp_path, monkeypatch):
     monkeypatch.setenv("PLANAR_TURAN_CACHE", str(tmp_path))
     extremal_number(5, cycle_graph(5), C4_FREE, use_cache=False)
@@ -190,6 +258,12 @@ def test_growth_probe_needs_three_points():
         growth_probe(spec, [16, 32])
     with pytest.raises(ValueError):
         growth_probe(spec, [16, 16, 16])
+
+
+def test_growth_probe_refuses_family_not_sized_by_n():
+    spec = ConstructionSpec("pentagon_extremal", {"t": 3, "s": 3})
+    with pytest.raises(ConstructionError):
+        growth_probe(spec, [10, 11, 12])
 
 
 def test_witnesses_decode_from_graph6():
