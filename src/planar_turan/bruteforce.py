@@ -27,14 +27,11 @@ def are_isomorphic_brute(g: Graph, h: Graph) -> bool:
 
 
 def automorphism_count_brute(g: Graph) -> int:
-    edge_set = set(g.edges)
-    count = 0
-    for perm in permutations(range(g.n)):
-        mapped = {(perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-                  for u, v in g.edges}
-        if mapped == edge_set:
-            count += 1
-    return count
+    """Vertex permutations that map every edge to an edge; a permutation
+    is a bijection on vertex pairs, so these preserve the edge set."""
+    bits = g.bits
+    return sum(1 for perm in permutations(range(g.n))
+               if all(bits[perm[u]] >> perm[v] & 1 for u, v in g.edges))
 
 
 def count_cycles_brute(g: Graph, k: int) -> int:

@@ -5,7 +5,8 @@ partition (degree-style counting against every cell) plus backtracking
 over individualization choices.  Leaves of the search tree are complete
 labelings; the lexicographically least encoding wins.  Automorphisms
 discovered as equal-encoding leaves prune sibling branches, which keeps
-highly symmetric inputs (empty or complete graphs) tractable.
+highly symmetric inputs (empty or complete graphs) tractable; they are
+also returned, and generate the whole automorphism group.
 
 Everything here is capped at 64 vertices: bitset rows stay machine-sized
 and the desk-scale contracts never need more.
@@ -13,6 +14,7 @@ and the desk-scale contracts never need more.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graph import Graph, build_graph
@@ -98,34 +100,26 @@ class _CanonSearch:
         prefix = cells[:target]
         suffix = cells[target + 1:]
         tried: list[int] = []
+        root: list[int] | None = None
+        known = 0  # generators that root accounts for
         for v in cell:
-            if tried and self._in_known_orbit(v, tried, fixed):
-                continue
+            if tried:
+                if len(self.generators) != known:
+                    known = len(self.generators)
+                    root = self._stabilizer_orbits(fixed)
+                # skip v if a known automorphism fixing the individualized
+                # prefix pointwise maps it into an already-tried branch
+                if root is not None and any(root[u] == root[v] for u in tried):
+                    continue
             tried.append(v)
             rest = tuple(w for w in cell if w != v)
             self._descend(prefix + [(v,)] + [rest] + suffix, fixed + [v])
 
-    def _in_known_orbit(self, v: int, tried: list[int], fixed: list[int]) -> bool:
-        """True if some known automorphism fixing the individualized prefix
-        pointwise maps v into an already-tried branch."""
+    def _stabilizer_orbits(self, fixed: list[int]) -> list[int] | None:
+        """Orbit roots under the known automorphisms that fix `fixed`
+        pointwise, or None when there are none."""
         useful = [p for p in self.generators if all(p[f] == f for f in fixed)]
-        if not useful:
-            return False
-        root = list(range(self.n))
-
-        def find(x: int) -> int:
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
-        for p in useful:
-            for a in range(self.n):
-                ra, rb = find(a), find(p[a])
-                if ra != rb:
-                    root[ra] = rb
-        rv = find(v)
-        return any(find(u) == rv for u in tried)
+        return orbit_roots(self.n, useful) if useful else None
 
     def _leaf(self, order: list[int]) -> None:
         n = self.n
@@ -151,7 +145,40 @@ class _CanonSearch:
             self.generators.append(tuple(perm))
 
 
-def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...], list[tuple[int, ...]]]:
+def orbit_roots(size: int, perms: Sequence[Sequence[int]]) -> list[int]:
+    """The least point of each point's orbit under the group that the
+    permutations of range(size) generate."""
+    root = list(range(size))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for p in perms:
+        for a, b in enumerate(p):
+            if a != b:
+                ra, rb = find(a), find(b)
+                if ra < rb:
+                    root[rb] = ra
+                elif rb < ra:
+                    root[ra] = rb
+    return [find(a) for a in range(size)]
+
+
+def canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...],
+                                        tuple[tuple[int, ...], ...]]:
+    """Canonical form, the map original-vertex -> canonical position, and
+    automorphisms of g (as vertex maps) that generate its whole
+    automorphism group.
+
+    Every leaf with the least code is an automorphic image of the first
+    one found, and the search visits each such leaf or an image of it
+    under automorphisms already found, so the generators are complete.
+    Refinement orders cells by degree first, so the vertex at the last
+    canonical position has maximum degree.
+    """
     _check_cap(g)
     search = _CanonSearch(g)
     search.run()
@@ -164,17 +191,17 @@ def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...], list[tu
         (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
         for u, v in g.edges))
     form = CanonicalForm(g.n, edges)
-    return form, tuple(pos), search.generators
+    return form, tuple(pos), tuple(search.generators)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form; equal for two graphs iff they are isomorphic."""
-    return _canonical_search(g)[0]
+    return canonical_search(g)[0]
 
 
 def canonical_labeling(g: Graph) -> tuple[CanonicalForm, tuple[int, ...]]:
     """Canonical form plus the map original-vertex -> canonical position."""
-    form, pos, _ = _canonical_search(g)
+    form, pos, _ = canonical_search(g)
     return form, pos
 
 

@@ -123,6 +123,35 @@ def is_family_free(g: Graph, family: ForbiddenFamily) -> bool:
     return True
 
 
+def closing_partners(g: Graph, family: ForbiddenFamily) -> tuple[int, ...]:
+    """For each vertex a, the bitmask of the vertices b such that one new
+    vertex joined to both a and b closes a cycle of a forbidden length.
+
+    A k-cycle through the new vertex is a simple path of k - 2 edges
+    from a to b in g, so a family-free g stays free of the family's
+    cycles after adding a vertex joined to `mask` exactly when no a in
+    mask has a partner in mask.  Extra patterns are not covered.
+    """
+    want = 0  # bit d set: a path of d edges closes a forbidden cycle
+    for length in family.cycle_lengths:
+        if length - 1 <= g.n:  # the path has length - 1 vertices
+            want |= 1 << (length - 2)
+    if not want:
+        return (0,) * g.n
+    deepest = want.bit_length() - 1
+    adj = g.adj
+
+    def ends(cur: int, visited: int, depth: int) -> int:
+        found = 1 << cur if want >> depth & 1 else 0
+        if depth < deepest:
+            for w in adj[cur]:
+                if not visited >> w & 1:
+                    found |= ends(w, visited | 1 << w, depth + 1)
+        return found
+
+    return tuple(ends(a, 1 << a, 0) for a in range(g.n))
+
+
 def shortest_even_cycle(g: Graph) -> int | None:
     """Length of the shortest even cycle, or None if no even cycle exists."""
     for length in range(4, g.n + 1, 2):

@@ -1,12 +1,21 @@
 """Exhaustive extremal search over small planar family-free graphs.
 
-Enumeration is canonical augmentation: a child on i+1 vertices is kept
-only when deleting the vertex at its last canonical position recreates
-the parent's canonical form.  Children of one parent are deduplicated
-by canonical form, so each isomorphism class appears exactly once
-globally without a cross-level lookup table.  Planarity and forbidden
-cycles are hereditary under vertex deletion, which makes pruning during
-augmentation sound.
+Enumeration is canonical augmentation with McKay's orbit criterion
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  A
+parent on i vertices is extended by one new vertex joined to an
+attachment mask, one mask per orbit of Aut(parent).  The child is kept
+only when the new vertex lies in the Aut(child) orbit of the vertex at
+the child's last canonical position, i.e. when the canonical deletion
+of the child gives back this parent and this mask orbit.  Each
+isomorphism class then appears exactly once globally, with no
+deduplication table within a parent or across a level.
+
+Planarity and forbidden cycles are hereditary under vertex deletion, so
+pruning during augmentation is sound, and each test runs at the cheapest
+point: forbidden cycles through the new vertex, the planar edge bound
+and the degree of the vertex at the last canonical position are checked
+on the mask before a child is built; planarity runs only on children
+that pass the orbit test.
 
 Disconnected graphs are part of the search space: the extremal maximum
 quantifies over all graphs on n vertices, not only connected ones.
@@ -21,9 +30,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
-from .canonical import CanonicalForm, canonical_form, canonical_labeling
+from .canonical import (CanonicalForm, canonical_form, canonical_search,
+                        orbit_roots)
 from .counting import Pattern, count_copies
-from .cycles import EMPTY_FAMILY, ForbiddenFamily, count_cycles, is_family_free
+from .cycles import (EMPTY_FAMILY, ForbiddenFamily, closing_partners,
+                     count_cycles, is_family_free)
 from .graph import Graph, empty_graph, is_connected
 from .graph6 import from_graph6, to_graph6
 from .planarity import is_planar
@@ -66,26 +77,66 @@ class ExtremalRecord:
 # Canonical augmentation
 # ======================================================================
 
+def _on_masks(perm: tuple[int, ...]) -> list[int]:
+    """The permutation of vertex subsets (as bitmasks) induced by perm."""
+    image = [0] * (1 << len(perm))
+    for mask in range(1, len(image)):
+        low = mask & -mask
+        image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+    return image
+
+
 def _accepted_children(parent: Graph, family: ForbiddenFamily,
                        require_planar: bool) -> list[Graph]:
-    """Canonical representatives of the constrained one-vertex extensions
-    whose canonical deletion reproduces the parent, each class once."""
-    parent_form = canonical_form(parent)
-    seen: set[CanonicalForm] = set()
+    """Canonical representatives, sorted, of the constrained one-vertex
+    extensions of `parent` whose canonical parent it is, each class once.
+
+    Cheapest test first: attachment masks that close a forbidden cycle,
+    break the planar edge bound or leave the new vertex short of maximum
+    degree are dropped before any child is built; one mask per
+    Aut(parent) orbit survives; each child then gets one canonical
+    search, and planarity runs only on accepted children.
+    """
+    n = parent.n
+    partners = closing_partners(parent, family)
+    # e <= 3v - 6 for planar graphs on v >= 3 vertices
+    max_attach = (3 * (n + 1) - 6 - parent.edge_count
+                  if require_planar and n >= 2 else n)
+    free = bytearray(1 << n)  # free[mask]: joining mask closes no cycle
+    free[0] = 1
+    for mask in range(1, 1 << n):
+        high = mask.bit_length() - 1
+        rest = mask ^ 1 << high
+        free[mask] = free[rest] and not partners[high] & rest
+    # The vertex at the last canonical position has maximum degree, so
+    # the new vertex needs at least as many neighbours as any old vertex
+    # and one more than an old vertex of top degree that it joins.
+    top = max(len(row) for row in parent.adj)
+    at_top = sum(1 << v for v in range(n) if len(parent.adj[v]) == top)
+    masks = [m for m in range(1 << n)
+             if free[m] and top <= m.bit_count() <= max_attach
+             and not (m.bit_count() == top and m & at_top)]
+    if len(masks) > 1:
+        _, _, generators = canonical_search(parent)
+        if generators:
+            root = orbit_roots(1 << n, [_on_masks(p) for p in generators])
+            masks = [m for m in masks if root[m] == m]
     accepted: list[CanonicalForm] = []
-    for mask in range(1 << parent.n):
-        attach = [i for i in range(parent.n) if mask >> i & 1]
-        child = parent.with_vertex(attach)
-        if not is_family_free(child, family):
+    for mask in masks:
+        child = parent.with_vertex([i for i in range(n) if mask >> i & 1])
+        if family.extra_patterns and not is_family_free(child, family):
             continue
+        # McKay's criterion: the new vertex n must lie in the Aut(child)
+        # orbit of the vertex at the last canonical position.
+        form, pos, generators = canonical_search(child)
+        last = pos.index(n)
+        if last != n:
+            if not generators:
+                continue
+            root = orbit_roots(n + 1, generators)
+            if root[last] != root[n]:
+                continue
         if require_planar and not is_planar(child).is_planar:
-            continue
-        form, pos = canonical_labeling(child)
-        if form in seen:
-            continue
-        seen.add(form)
-        last = pos.index(child.n - 1)
-        if canonical_form(child.delete_vertex(last)) != parent_form:
             continue
         accepted.append(form)
     accepted.sort()

@@ -1,4 +1,4 @@
-"""Acceptance sweep: the nine headline guarantees of the package.
+"""Acceptance sweep: the ten headline guarantees of the package.
 
 Each criterion is one test, so `pytest -v` shows exactly one pass/fail
 line per criterion.  Every test delegates to the corresponding named
@@ -23,6 +23,9 @@ fails loudly.
      (n <= 8)
   9. short-path multiplicities in the parallel-path family do not grow
      with n (identical maxima at n and 4n)
+ 10. exhaustive planar maxima of the C3, C4 and C5 counts equal the
+     published closed forms 3n-8, (n^2+3n-22)/2 (n = 6, 7) and
+     2n^2-10n+12 (n = 8)
 """
 
 from planar_turan.search import SearchBudget
@@ -54,6 +57,14 @@ def test_criterion_1_pentagon_extremal_values():
     grid = [d for d in report.details if d["instance"].startswith("pentagon")]
     assert len(grid) == 121  # all t, s <= 10
     assert all(d["ok"] for d in grid)
+
+
+def test_criterion_1_opt_in_n9_row():
+    report = _check(1, "c5-c4free-exact",
+                    budget=SearchBudget(max_vertices=9, parallel_width=2),
+                    max_seconds=300)
+    row = next(d for d in report.details if d["instance"] == "exhaustive n=9")
+    assert (row["got"], row["explored"]) == (5, 1229)
 
 
 def test_criterion_2_beta_closed_forms():
@@ -103,3 +114,12 @@ def test_criterion_9_bounded_path_multiplicities():
     for d in report.details:
         lo, hi = d["got"]
         assert lo == hi
+
+
+def test_criterion_10_planar_cycle_maxima():
+    report = _check(10, "planar-cycle-maxima",
+                    budget=SearchBudget(max_vertices=8, parallel_width=2),
+                    max_seconds=300)
+    got = {d["instance"].split(" (")[0]: d["got"] for d in report.details}
+    assert got == {"C3 n=6": 10, "C3 n=7": 13, "C4 n=6": 16, "C4 n=7": 24,
+                   "C5 n=8": 60}

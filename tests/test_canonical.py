@@ -16,6 +16,8 @@ from planar_turan.canonical import (
     automorphism_count,
     canonical_form,
     canonical_labeling,
+    canonical_search,
+    orbit_roots,
 )
 from planar_turan.graph import (
     build_graph,
@@ -26,6 +28,7 @@ from planar_turan.graph import (
     path_with_edges,
     star_graph,
 )
+from planar_turan.search import enumerate_constrained
 
 
 def _all_labeled_graphs(n):
@@ -127,3 +130,47 @@ def test_forms_order_deterministically():
 def test_vertex_cap():
     with pytest.raises(ValueError):
         canonical_form(empty_graph(65))
+
+
+def _group_order(n, generators):
+    """Order of the permutation group the generators span, by closure."""
+    identity = tuple(range(n))
+    seen = {identity}
+    todo = [identity]
+    while todo:
+        p = todo.pop()
+        for q in generators:
+            r = tuple(q[x] for x in p)
+            if r not in seen:
+                seen.add(r)
+                todo.append(r)
+    return len(seen)
+
+
+def test_search_generators_span_the_automorphism_group():
+    # search relies on this for both orbit pruning and its parent test
+    classes = [g for n in range(1, 8)
+               for g in enumerate_constrained(n, require_planar=False)]
+    assert len(classes) == 1252
+    for g in classes:
+        _, _, generators = canonical_search(g)
+        order = _group_order(g.n, generators)
+        assert order == automorphism_count(g) == automorphism_count_brute(g), \
+            canonical_form(g)
+
+
+def test_last_canonical_position_has_maximum_degree():
+    # search prunes attachment masks by this before building a child
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        g = _random_graph(rng, n, rng.uniform(0.1, 0.9))
+        _, pos, _ = canonical_search(g)
+        assert g.degree(pos.index(n - 1)) == max(g.degree(v) for v in range(n))
+
+
+def test_orbit_roots_are_least_members():
+    # (0 1 2)(3 4) and the identity on 5
+    assert orbit_roots(6, [(1, 2, 0, 4, 3, 5)]) == [0, 0, 0, 3, 3, 5]
+    assert orbit_roots(4, []) == [0, 1, 2, 3]
+    assert orbit_roots(4, [(0, 1, 3, 2), (1, 0, 2, 3), (0, 2, 1, 3)]) == [0] * 4

@@ -6,6 +6,7 @@ from planar_turan.bruteforce import count_cycles_brute
 from planar_turan.cycles import (
     EMPTY_FAMILY,
     ForbiddenFamily,
+    closing_partners,
     count_cycles,
     has_cycle,
     is_family_free,
@@ -115,3 +116,19 @@ def test_shortest_even_cycle():
     # C5 with one chord has a C4 but the odd cycles do not count
     chorded = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
     assert shortest_even_cycle(chorded) == 4
+
+
+def test_closing_partners_match_new_cycles():
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        g = _random_graph(rng, n, rng.uniform(0.2, 0.7))
+        family = ForbiddenFamily(frozenset(rng.sample(range(3, 9), rng.randint(0, 3))))
+        partners = closing_partners(g, family)
+        for mask in range(1 << n):
+            attach = [v for v in range(n) if mask >> v & 1]
+            child = g.with_vertex(attach)
+            new_cycle = any(count_cycles(child, k) > count_cycles(g, k)
+                            for k in family.cycle_lengths)
+            assert any(partners[a] & mask for a in attach) == new_cycle, \
+                (g.edges, sorted(family.cycle_lengths), attach)

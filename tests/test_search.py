@@ -36,9 +36,10 @@ from planar_turan.constructions import (ConstructionError, ConstructionSpec,
 
 C4_FREE = ForbiddenFamily.of_lengths(4)
 
-# classes of simple graphs on n vertices, all / planar-only
-ALL_CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
-PLANAR_CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 33, 6: 142}
+# classes of simple graphs on n vertices, all / planar-only (OEIS A000088
+# and A005470)
+ALL_CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+PLANAR_CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 33, 6: 142, 7: 822}
 
 
 def _labeled_class_count(n, keep):
@@ -74,8 +75,8 @@ def test_enumeration_planar_c4_free_counts():
     assert _labeled_class_count(
         5, lambda g: is_planar(g).is_planar) == 33
     got = {n: sum(1 for _ in enumerate_constrained(n, C4_FREE))
-           for n in range(4, 8)}
-    assert got == {4: 8, 5: 18, 6: 44, 7: 117}
+           for n in range(4, 9)}
+    assert got == {4: 8, 5: 18, 6: 44, 7: 117, 8: 351}
 
 
 def test_enumeration_connected_filter():
@@ -146,8 +147,9 @@ def test_extremal_time_limit_yields_incomplete():
 
 
 def test_extremal_time_limit_bounds_wall_time_with_workers():
+    # the planar C5 search at n = 8 takes several seconds at width 2
     start = time.monotonic()
-    rec = extremal_number(8, cycle_graph(5), C4_FREE,
+    rec = extremal_number(8, cycle_graph(5), EMPTY_FAMILY,
                           SearchBudget(time_limit=1.0, parallel_width=2),
                           use_cache=False)
     assert rec.status == "incomplete"
