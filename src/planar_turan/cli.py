@@ -249,6 +249,10 @@ def _cmd_verify(args) -> int:
     payload = {"claim": report.claim_id, "status": report.status,
                "runtime_s": round(report.runtime, 3),
                "details": list(report.details)}
+    if report.details:
+        slowest = max(report.details, key=lambda d: d["runtime_s"])
+        payload["slowest"] = {"instance": slowest["instance"],
+                              "runtime_s": slowest["runtime_s"]}
     if not args.all_details:
         payload["details"] = [d for d in report.details if not d["ok"]]
         payload["checks"] = len(report.details)

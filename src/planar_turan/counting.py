@@ -54,8 +54,10 @@ def _embedding_order(h: Graph) -> list[int]:
     return order
 
 
-def _count_embeddings(h: Graph, g: Graph) -> int:
-    if h.n > g.n:
+def _count_embeddings(h: Graph, g: Graph, stop_at_first: bool = False) -> int:
+    """Injective homomorphisms h -> g, or with `stop_at_first` a positive
+    number as soon as one is found (0 when there is none)."""
+    if h.n > g.n or h.edge_count > g.edge_count:
         return 0
     if h.n == 0:
         return 1
@@ -86,6 +88,8 @@ def _count_embeddings(h: Graph, g: Graph) -> int:
             if gdeg[w] >= need:
                 images[v] = w
                 total += rec(i + 1, used | low)
+                if stop_at_first and total:
+                    return total
         return total
 
     return rec(0, 0)
@@ -126,33 +130,7 @@ def count_injective_homs(h: Graph, g: Graph) -> int:
 
 def has_injective_hom(h: Graph, g: Graph) -> bool:
     """Early-exit variant: does g contain a copy of h at all?"""
-    if h.n > g.n or h.edge_count > g.edge_count:
-        return False
-    order = _embedding_order(h)
-    rank = {v: i for i, v in enumerate(order)}
-    placed_nbrs = [[w for w in h.adj[v] if rank[w] < i] for i, v in enumerate(order)]
-    full = (1 << g.n) - 1
-    images = [0] * h.n
-
-    def rec(i: int, used: int) -> bool:
-        if i == h.n:
-            return True
-        cand = full & ~used
-        for u in placed_nbrs[i]:
-            cand &= g.bits[images[u]]
-        v = order[i]
-        m = cand
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            if g.degree(w) >= h.degree(v):
-                images[v] = w
-                if rec(i + 1, used | low):
-                    return True
-        return False
-
-    return rec(0, 0)
+    return _count_embeddings(h, g, stop_at_first=True) > 0
 
 
 def count_paths_between(g: Graph, u: int, v: int, k: int) -> int:

@@ -1,11 +1,27 @@
 """Fixed-length cycle counting and forbidden-family checks.
 
-count_cycles anchors every cycle at its minimum vertex and extends
-simple paths through vertices above the anchor; orientation is fixed by
-requiring the second vertex to be smaller than the last, so each cycle
-is generated exactly once.  The final vertex of a cycle is never placed
-explicitly: it is read off a bitmask intersection, which collapses the
-innermost loop to a popcount and keeps million-cycle hosts cheap.
+count_cycles and has_cycle are one walker.  It anchors every cycle
+a, v1, ..., v_{k-1} at its minimum vertex a and extends simple paths
+through vertices above a, in both orientations, up to v_{k-3}.  The
+last two vertices are closed there by counting the ordered pairs
+(w, c) with w an unvisited neighbour of v_{k-3} above a and c an
+unvisited neighbour of w in close = N(a) above a.  Each cycle is met
+once per orientation, so the total is halved at the end.
+
+The pair count has two exact evaluations, and each leaf takes the one
+that touches fewer vertices:
+
+- direct: the sum over the free w of |N(w) & close minus visited|;
+- two-step sums: s(x) = sum of |N(w) & close| over w in N(x) above a,
+  memoised per anchor, minus the visited w's terms, minus
+  |N(c) & free| for every visited c in close.
+
+The sums pay off where a hub recurs as v_{k-3} with many free
+neighbours (the parallel-path hosts); the direct route keeps small and
+dense graphs cheap.  A vertex's sums are built only when it recurs, so
+the first visit under an anchor always goes direct.  k = 3 needs no
+walk: it is the number of ordered edges inside close.  has_cycle stops
+at the first non-zero leaf.
 """
 
 from __future__ import annotations
@@ -46,68 +62,96 @@ class ForbiddenFamily:
 EMPTY_FAMILY = ForbiddenFamily(frozenset())
 
 
-def count_cycles(g: Graph, k: int) -> int:
-    """Number of k-cycles (as vertex subsets with their cyclic structure)."""
+def _walk_cycles(g: Graph, k: int, stop_at_first: bool) -> int:
+    """The number of k-cycles; with `stop_at_first`, a positive number as
+    soon as one is found (0 when there is none)."""
     if k < 3:
         raise ValueError(f"cycle length must be >= 3, got {k}")
     if g.n < k:
         return 0
     bits = g.bits
     adj = g.adj
-    total = 0
+    last = k - 3  # the walk places v1, ..., v_{k-3} after the anchor
+    total = 0  # every cycle is counted once in each orientation
     for a in range(g.n - k + 1):
-        close_mask = bits[a] & (-1 << (a + 1))
-        if not close_mask:
+        above = -1 << (a + 1)
+        close = bits[a] & above
+        if close.bit_count() < 2:
             continue
+        if not last:  # k = 3: the ordered edges inside close
+            total += sum((bits[v1] & close).bit_count()
+                         for v1 in adj[a] if v1 > a)
+            if stop_at_first and total:
+                return total
+            continue
+        # x -> sum of |N(w) & close| over w in N(x) above a; None after
+        # the first time x is v_{k-3}
+        sums: dict[int, int | None] = {}
 
-        def rec(cur: int, visited: int, placed: int) -> int:
-            if placed == k - 2:
-                return (bits[cur] & close_mask & ~visited & v1_high).bit_count()
+        def walk(cur: int, visited: int, placed: int) -> int:
             sub = 0
-            for w in adj[cur]:
-                if w > a and not visited >> w & 1:
-                    sub += rec(w, visited | 1 << w, placed + 1)
+            if placed < last - 1:
+                for w in adj[cur]:
+                    if w > a and not visited >> w & 1:
+                        sub += walk(w, visited | 1 << w, placed + 1)
+                        if stop_at_first and sub:
+                            return sub
+                return sub
+            for x in adj[cur]:  # x = v_{k-3}, the last placed vertex
+                if x <= a or visited >> x & 1:
+                    continue
+                # ordered pairs (w, c): w in N(x) above a, c in N(w) & close,
+                # both unvisited
+                seen = visited | 1 << x
+                ahead = bits[x] & above
+                free = ahead & ~seen
+                if not free:
+                    continue
+                used = ahead ^ free
+                blocked = close & seen
+                if x not in sums:
+                    sums[x] = None
+                    direct = True
+                else:
+                    direct = free.bit_count() <= used.bit_count() + blocked.bit_count()
+                if direct:
+                    gate = close & ~seen
+                    while free:
+                        low = free & -free
+                        sub += (bits[low.bit_length() - 1] & gate).bit_count()
+                        free ^= low
+                else:
+                    pairs = sums[x]
+                    if pairs is None:
+                        pairs = sums[x] = sum((bits[w] & close).bit_count()
+                                              for w in adj[x] if w > a)
+                    while used:
+                        low = used & -used
+                        pairs -= (bits[low.bit_length() - 1] & close).bit_count()
+                        used ^= low
+                    while blocked:
+                        low = blocked & -blocked
+                        pairs -= (bits[low.bit_length() - 1] & free).bit_count()
+                        blocked ^= low
+                    sub += pairs
+                if stop_at_first and sub:
+                    return sub
             return sub
 
-        abit = 1 << a
-        for v1 in adj[a]:
-            if v1 <= a:
-                continue
-            v1_high = -1 << (v1 + 1)
-            total += rec(v1, abit | 1 << v1, 1)
-    return total
+        total += walk(a, 1 << a, 0)
+        if stop_at_first and total:
+            return total
+    return total // 2
+
+
+def count_cycles(g: Graph, k: int) -> int:
+    """Number of k-cycles (as vertex subsets with their cyclic structure)."""
+    return _walk_cycles(g, k, False)
 
 
 def has_cycle(g: Graph, k: int) -> bool:
     """True when g contains at least one k-cycle; short-circuits."""
-    if k < 3:
-        raise ValueError(f"cycle length must be >= 3, got {k}")
-    if g.n < k:
-        return False
-    bits = g.bits
-    adj = g.adj
-    for a in range(g.n - k + 1):
-        close_mask = bits[a] & (-1 << (a + 1))
-        if not close_mask:
-            continue
-
-        def rec(cur: int, visited: int, placed: int) -> bool:
-            if placed == k - 2:
-                return bool(bits[cur] & close_mask & ~visited & v1_high)
-            for w in adj[cur]:
-                if w > a and not visited >> w & 1:
-                    if rec(w, visited | 1 << w, placed + 1):
-                        return True
-            return False
-
-        abit = 1 << a
-        for v1 in adj[a]:
-            if v1 <= a:
-                continue
-            v1_high = -1 << (v1 + 1)
-            if rec(v1, abit | 1 << v1, 1):
-                return True
-    return False
+    return _walk_cycles(g, k, True) > 0
 
 
 def is_family_free(g: Graph, family: ForbiddenFamily) -> bool:

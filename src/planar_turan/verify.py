@@ -104,6 +104,22 @@ def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return build_graph(n, edges)
 
 
+class _Rows(list):
+    """A claim's detail rows.  Appending a row stamps it with `runtime_s`,
+    the seconds spent since the previous row (or since the list was
+    made), so a report names its slow checks."""
+
+    def __init__(self):
+        super().__init__()
+        self._mark = time.monotonic()
+
+    def append(self, row: dict) -> None:
+        now = time.monotonic()
+        row["runtime_s"] = round(now - self._mark, 4)
+        self._mark = now
+        super().append(row)
+
+
 def _status(details, incomplete: bool = False) -> str:
     if incomplete:
         return "incomplete"
@@ -130,7 +146,7 @@ def _claim_c5_c4free_exact(budget: SearchBudget) -> tuple[str, list[dict]]:
     C4-free graphs, plus exact construction counts on a (t, s) grid.
     The n = 9 row runs only when the budget allows 9 vertices; its value
     is the n - 4 count of the certified constructions."""
-    details: list[dict] = []
+    details = _Rows()
     incomplete = False
     expected = {4: 0, 5: 1, 6: 1, 7: 3, 8: 4, 9: 5}
     pat = Pattern.from_graph(cycle_graph(5), "C5")
@@ -162,7 +178,7 @@ def _claim_planar_cycle_maxima(budget: SearchBudget) -> tuple[str, list[dict]]:
     forbidden family, against published closed forms; sizes above the
     budget's vertex cap are skipped.  The number of classes scanned must
     equal the number of planar graphs on n vertices."""
-    details: list[dict] = []
+    details = _Rows()
     incomplete = False
     for k, formula, closed, sizes in PLANAR_CYCLE_MAXIMA:
         pat = Pattern.from_graph(cycle_graph(k), f"C{k}")
@@ -183,7 +199,7 @@ def _claim_planar_cycle_maxima(budget: SearchBudget) -> tuple[str, list[dict]]:
 
 def _claim_beta_closed_forms(budget: SearchBudget) -> tuple[str, list[dict]]:
     """beta of paths (k edges) and cycles against their closed forms."""
-    details = []
+    details = _Rows()
     for ell in range(1, 5):
         for k in range(1, 16):
             want = 1 + (k + ell - 1) // (ell + 1)
@@ -201,7 +217,7 @@ def _claim_beta_closed_forms(budget: SearchBudget) -> tuple[str, list[dict]]:
 def _claim_tree_partition_forest(budget: SearchBudget) -> tuple[str, list[dict]]:
     """The induced path forest of the degree partition preserves beta."""
     rng = random.Random(TREE_PARTITION_SEED)
-    details = []
+    details = _Rows()
     failures = 0
     for i in range(500):
         n = rng.randint(2, 16)
@@ -224,7 +240,7 @@ def _claim_copy_count_oracle(budget: SearchBudget) -> tuple[str, list[dict]]:
     """count_copies vs the automorphism identity and a subset-permutation
     brute force on random pattern/host pairs."""
     rng = random.Random(COPY_ORACLE_SEED)
-    details = []
+    details = _Rows()
     failures = 0
     for i in range(1000):
         h = _random_graph(rng, rng.randint(1, 5), rng.uniform(0.2, 0.9))
@@ -247,7 +263,7 @@ def _claim_copy_count_oracle(budget: SearchBudget) -> tuple[str, list[dict]]:
 def _claim_growth_exponents(budget: SearchBudget) -> tuple[str, list[dict]]:
     """Log-log slopes of the construction counts against the predicted
     polynomial degrees."""
-    details = []
+    details = _Rows()
     for family, params, sweep, target in GROWTH_SWEEPS:
         probe = growth_probe(ConstructionSpec(family, params), list(sweep))
         ok = abs(probe.slope - target) <= GROWTH_TOLERANCE
@@ -291,7 +307,7 @@ CERTIFICATION_MATRIX: tuple = (
 def _claim_certification_matrix(budget: SearchBudget) -> tuple[str, list[dict]]:
     """Every construction instance in the matrix certifies planarity,
     family-freeness, and its declared count."""
-    details = []
+    details = _Rows()
     for family, params, n in CERTIFICATION_MATRIX:
         name = _label(family, params, n)
         try:
@@ -311,7 +327,7 @@ def _claim_certification_matrix(budget: SearchBudget) -> tuple[str, list[dict]]:
 def _claim_planarity_oracle(budget: SearchBudget) -> tuple[str, list[dict]]:
     """Planarity verdicts against the subdivision-search oracle over every
     isomorphism class on at most 7 vertices."""
-    details = []
+    details = _Rows()
     for n in range(1, 8):
         total = 0
         mismatches = 0
@@ -330,7 +346,7 @@ def _claim_planarity_oracle(budget: SearchBudget) -> tuple[str, list[dict]]:
 def _claim_degenerate_structure(budget: SearchBudget) -> tuple[str, list[dict]]:
     """Degeneracy of enumerated planar graphs, and the minimum edge degree
     sum of planar C4-free graphs with minimum degree >= 2."""
-    details = []
+    details = _Rows()
     worst_degen = 0
     planar_total = 0
     for n in range(1, 8):
@@ -363,7 +379,7 @@ def _claim_bounded_paths_probe(budget: SearchBudget) -> tuple[str, list[dict]]:
     """Short-path multiplicities between vertex pairs of the parallel-path
     construction do not grow with n: the observed maximum is identical at
     n and 4n for every path length up to ell."""
-    details = []
+    details = _Rows()
     cases = ((path_with_edges(4), 2, 40), (path_with_edges(6), 3, 49))
     for tree, ell, n in cases:
         spec = ConstructionSpec("even_tree_parallel_paths",

@@ -40,6 +40,7 @@ def _check(criterion, claim_id, budget=None, max_seconds=None):
     print(f"CRITERION {criterion}: {verdict} "
           f"({claim_id}, {report.runtime:.1f}s, {len(report.details)} checks)")
     failures = [d for d in report.details if not d["ok"]]
+    assert all(d["runtime_s"] >= 0 for d in report.details)
     assert report.status == "pass", f"criterion {criterion} failed: {failures[:5]}"
     if max_seconds is not None:
         assert report.runtime <= max_seconds, (

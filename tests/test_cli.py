@@ -159,6 +159,17 @@ def test_verify_command(capsys):
     assert len(payload["details"]) > 100
 
 
+def test_verify_rows_carry_runtime(capsys):
+    code, payload = _run_json(capsys, ["verify", "--claim", "beta-closed-forms",
+                                       "--all-details"])
+    assert code == EXIT_PASS
+    runtimes = {d["instance"]: d["runtime_s"] for d in payload["details"]}
+    assert len(runtimes) == len(payload["details"])
+    assert all(t >= 0 for t in runtimes.values())
+    slowest = payload["slowest"]
+    assert runtimes[slowest["instance"]] == slowest["runtime_s"] == max(runtimes.values())
+
+
 def test_verify_unknown_claim(capsys):
     assert main(["verify", "--claim", "no-such-claim"]) == EXIT_USAGE
     capsys.readouterr()

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planar_turan.bruteforce import count_cycles_brute
+from planar_turan.constructions import ck_c4free_parallel, cycle_blowup
 from planar_turan.cycles import (
     EMPTY_FAMILY,
     ForbiddenFamily,
@@ -21,11 +24,47 @@ from planar_turan.graph import (
     path_with_edges,
     star_graph,
 )
+from planar_turan.graph6 import from_graph6, to_graph6
+
+# few examples and no example database: tier-1 stays fast and leaves no files
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
 
 
 def _random_graph(rng, n, p):
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                            if rng.random() < p])
+
+
+@st.composite
+def small_graphs(draw, max_n=8):
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [p for p, kept in zip(pairs, keep) if kept])
+
+
+@st.composite
+def cycles_with_pendant_trees(draw):
+    """C_k with trees hung on it: exactly one cycle, of length k."""
+    k = draw(st.integers(3, 8))
+    edges = list(cycle_graph(k).edges)
+    n = k + draw(st.integers(0, 6))
+    for v in range(k, n):
+        edges.append((draw(st.integers(0, v - 1)), v))
+    perm = draw(st.permutations(range(n)))
+    return k, build_graph(n, edges).relabel(perm)
+
+
+def _wheel(rim):
+    hub = rim
+    return build_graph(rim + 1, list(cycle_graph(rim).edges)
+                       + [(hub, v) for v in range(rim)])
+
+
+def _book(pages):
+    """`pages` triangles sharing the edge 0-1."""
+    return build_graph(pages + 2, [(0, 1)] + [(s, p) for p in range(2, pages + 2)
+                                              for s in (0, 1)])
 
 
 @pytest.mark.parametrize("g,expected", [
@@ -132,3 +171,84 @@ def test_closing_partners_match_new_cycles():
                             for k in family.cycle_lengths)
             assert any(partners[a] & mask for a in attach) == new_cycle, \
                 (g.edges, sorted(family.cycle_lengths), attach)
+
+
+@PROPERTY
+@given(small_graphs())
+def test_property_count_matches_brute(g):
+    for k in range(3, g.n + 2):
+        assert count_cycles(g, k) == count_cycles_brute(g, k)
+
+
+@PROPERTY
+@given(small_graphs())
+def test_property_has_cycle_is_positive_count(g):
+    for k in range(3, g.n + 2):
+        assert has_cycle(g, k) == (count_cycles(g, k) > 0)
+
+
+@PROPERTY
+@given(cycles_with_pendant_trees())
+def test_property_single_cycle_found_and_counted_once(case):
+    k, g = case
+    for length in range(3, g.n + 1):
+        assert count_cycles(g, length) == (length == k)
+        assert has_cycle(g, length) == (length == k)
+
+
+@PROPERTY
+@given(st.integers(0, 70).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                   st.integers(0, max(n - 1, 0))), max_size=3 * n))))
+def test_property_graph6_round_trip(case):
+    n, pairs = case
+    g = build_graph(n, [(u, v) for u, v in pairs if u != v])
+    assert from_graph6(to_graph6(g)) == g
+
+
+@pytest.mark.parametrize("g", [
+    _wheel(7), _wheel(7).relabel([1, 2, 3, 4, 5, 6, 7, 0]),
+    complete_bipartite(2, 6), complete_bipartite(6, 2), complete_bipartite(3, 5),
+    _book(6), _book(6).relabel([6, 7, 0, 1, 2, 3, 4, 5]),
+], ids=["wheel7-hub-last", "wheel7-hub-first", "K2,6", "K6,2", "K3,5",
+        "book6", "book6-spine-last"])
+def test_hub_heavy_hosts_match_brute(g):
+    # hubs recur as the last walked vertex with many free neighbours, so
+    # most of these hosts reach the anchor's two-step sums as well as the
+    # direct leaf evaluation
+    for k in range(3, g.n + 1):
+        want = count_cycles_brute(g, k)
+        assert count_cycles(g, k) == want
+        assert has_cycle(g, k) == (want > 0)
+
+
+def test_hub_heavy_hosts_match_closed_forms():
+    rim = 14
+    wheel = _wheel(rim)
+    for k in range(3, rim + 2):
+        # k - 1 consecutive rim vertices through the hub, plus the rim itself
+        assert count_cycles(wheel, k) == rim + (k == rim)
+    for m in (9, 20):
+        kb = complete_bipartite(2, m)
+        assert count_cycles(kb, 4) == m * (m - 1) // 2
+        assert all(count_cycles(kb, k) == 0 for k in (3, 5, 6))
+        book = _book(m)
+        assert count_cycles(book, 3) == m
+        assert count_cycles(book, 4) == m * (m - 1) // 2
+        assert all(count_cycles(book, k) == 0 for k in (5, 6))
+
+
+def test_large_parallel_path_host_matches_closed_form():
+    # three bundles of (n - 3) // 6 paths; a 9-cycle takes one path of each
+    n = 483
+    g = ck_c4free_parallel(9, n, count_cap=0).graph
+    assert count_cycles(g, 9) == ((n - 3) // 6) ** 3 == 80 ** 3
+    assert has_cycle(g, 9)
+    assert not has_cycle(g, 4)
+
+
+def test_large_cycle_blowup_matches_declared_count():
+    n = 96
+    out = cycle_blowup(8, n, count_cap=0)
+    m = 2 * n // 8 - 1
+    assert count_cycles(out.graph, 8) == out.certification.declared_count == m ** 4
