@@ -19,16 +19,16 @@ from .constructions import (CertificationError, Certification,
                             growth_probe, pentagon_extremal, tree_beta_blowup)
 from .counting import (EmpiricalBound, Pattern, count_copies,
                        count_injective_homs, count_paths_between,
-                       count_tripod_vertices, probe_bounded_paths)
+                       probe_bounded_paths)
 from .cycles import (EMPTY_FAMILY, ForbiddenFamily, count_cycles, has_cycle,
-                     is_family_free, shortest_even_cycle)
+                     is_family_free)
 from .graph import (Graph, build_graph, complete_bipartite, complete_graph,
                     connected_components, cycle_graph, disjoint_union,
                     empty_graph, induced_subgraph, is_connected, is_tree,
                     path_with_edges, star_graph)
 from .graph6 import from_graph6, to_graph6
 from .params import (BetaWitness, TreePartition, beta, degeneracy,
-                     independence_number, min_edge_degree_sum, tree_partition)
+                     min_edge_degree_sum, tree_partition)
 from .planarity import PlanarityVerdict, is_planar
 from .search import (ExtremalRecord, SearchBudget, SearchIncomplete,
                      enumerate_constrained, extremal_number)
@@ -47,12 +47,11 @@ __all__ = [
     "canonical_labeling", "ck_c4free_parallel", "complete_bipartite",
     "complete_graph", "conjecture_family", "connected_components",
     "count_copies", "count_cycles", "count_injective_homs",
-    "count_paths_between", "count_tripod_vertices", "cycle_blowup",
-    "cycle_graph", "degeneracy", "disjoint_union", "empty_graph",
-    "enumerate_constrained", "even_tree_parallel_paths", "extremal_number",
-    "from_graph6", "growth_probe", "has_cycle", "independence_number",
-    "induced_subgraph", "is_connected", "is_family_free", "is_planar", "is_tree",
-    "min_edge_degree_sum", "path_with_edges", "pentagon_extremal",
-    "probe_bounded_paths", "run_claim", "shortest_even_cycle", "star_graph",
-    "to_graph6", "tree_beta_blowup", "tree_partition",
+    "count_paths_between", "cycle_blowup", "cycle_graph", "degeneracy",
+    "disjoint_union", "empty_graph", "enumerate_constrained",
+    "even_tree_parallel_paths", "extremal_number", "from_graph6",
+    "growth_probe", "has_cycle", "induced_subgraph", "is_connected",
+    "is_family_free", "is_planar", "is_tree", "min_edge_degree_sum",
+    "path_with_edges", "pentagon_extremal", "probe_bounded_paths", "run_claim",
+    "star_graph", "to_graph6", "tree_beta_blowup", "tree_partition",
 ]

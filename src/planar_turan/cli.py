@@ -17,8 +17,7 @@ import re
 import sys
 
 from .constructions import (CONSTRUCTION_FAMILIES, CertificationError,
-                            ConstructionError, ConstructionSpec,
-                            build_construction)
+                            ConstructionSpec, build_construction)
 from .counting import Pattern, count_copies
 from .cycles import EMPTY_FAMILY, ForbiddenFamily, count_cycles
 from .graph import (Graph, complete_bipartite, complete_graph, cycle_graph,
@@ -121,10 +120,11 @@ def _parse_params(text: str | None) -> dict:
 
 
 def _budget(args, default_cap: int = 8) -> SearchBudget:
-    return SearchBudget(
-        max_vertices=getattr(args, "max_vertices", None) or default_cap,
-        time_limit=getattr(args, "budget_seconds", None),
-        parallel_width=getattr(args, "jobs", None) or 1)
+    """The options as given; SearchBudget refuses values out of range."""
+    cap, jobs = args.max_vertices, args.jobs
+    return SearchBudget(max_vertices=default_cap if cap is None else cap,
+                        time_limit=args.budget_seconds,
+                        parallel_width=1 if jobs is None else jobs)
 
 
 def _emit(args, payload: dict) -> None:
@@ -197,8 +197,6 @@ def _cmd_construct(args) -> int:
     spec = ConstructionSpec(args.family, _parse_params(args.params))
     try:
         out = build_construction(spec, n=args.n)
-    except ConstructionError as exc:
-        raise UsageError(str(exc))
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -242,10 +240,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify(args) -> int:
     # the n=8 exhaustive sweep is opt-in via --max-vertices 8
-    try:
-        report = run_claim(args.claim, _budget(args, default_cap=7))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = run_claim(args.claim, _budget(args, default_cap=7))
     payload = {"claim": report.claim_id, "status": report.status,
                "runtime_s": round(report.runtime, 3),
                "details": list(report.details)}
@@ -415,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError, ConstructionError, refused inputs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,8 +18,8 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .counting import Pattern, count_copies
-from .cycles import ForbiddenFamily, count_cycles, is_family_free
+from .counting import count_copies
+from .cycles import ForbiddenFamily, is_family_free
 from .graph import Graph, build_graph, cycle_graph, is_tree
 from .params import beta
 from .planarity import is_planar
@@ -53,15 +53,15 @@ class ConstructionOutput:
     certification: Certification
 
 
-def _certify(graph: Graph, family_lengths: tuple[int, ...], pattern_name: str,
-             count_fn, declared: int, exact: bool,
+def _certify(graph: Graph, family_lengths: tuple[int, ...], pattern: Graph,
+             pattern_name: str, declared: int, exact: bool,
              count_cap: int) -> Certification:
     planar_ok = is_planar(graph).is_planar
     family_free = is_family_free(graph, ForbiddenFamily(frozenset(family_lengths)))
     computed: int | None = None
     count_ok = True
     if graph.n <= count_cap:
-        computed = count_fn(graph)
+        computed = count_copies(pattern, graph)
         count_ok = computed == declared if exact else computed >= declared
     if not (planar_ok and family_free and count_ok):
         raise CertificationError(
@@ -124,9 +124,7 @@ def tree_beta_blowup(t: Graph, n: int, *,
         for j in range(1, m):
             labels[f"v{v}.{j}"] = nid
             nid += 1
-    pattern = Pattern.from_graph(t, "tree")
-    cert = _certify(graph, (), "tree", lambda g: count_copies(pattern, g),
-                    m ** b, False, count_cap)
+    cert = _certify(graph, (), t, "tree", m ** b, False, count_cap)
     return ConstructionOutput(graph, labels, cert)
 
 
@@ -153,8 +151,7 @@ def cycle_blowup(k: int, n: int, *,
     # k = 4 is special: both blown classes share both junctions (K_{2,2m}),
     # so pairs within one class also close 4-cycles.
     declared = m * (2 * m - 1) if k == 4 else m ** (k // 2)
-    cert = _certify(graph, (), f"C{k}", lambda g: count_cycles(g, k),
-                    declared, True, count_cap)
+    cert = _certify(graph, (), base, f"C{k}", declared, True, count_cap)
     return ConstructionOutput(graph, labels, cert)
 
 
@@ -214,9 +211,7 @@ def even_tree_parallel_paths(t: Graph, ell: int, n: int, *,
     if graph.n > n:
         raise ConstructionError("parallel copies exceeded the vertex budget")
     family = tuple(range(4, 2 * ell + 1, 2))
-    pattern = Pattern.from_graph(t, "tree")
-    cert = _certify(graph, family, "tree", lambda g: count_copies(pattern, g),
-                    m ** b, False, count_cap)
+    cert = _certify(graph, family, t, "tree", m ** b, False, count_cap)
     return ConstructionOutput(graph, labels, cert)
 
 
@@ -254,8 +249,8 @@ def pentagon_extremal(t: int, s: int, *,
         edges.append((z, x5 if i % 4 in (0, 1) else x3))
         prev_z = z
     graph = build_graph(nid, edges)
-    cert = _certify(graph, (4,), "C5", lambda g: count_cycles(g, 5),
-                    graph.n - 4, True, count_cap)
+    cert = _certify(graph, (4,), cycle_graph(5), "C5", graph.n - 4, True,
+                    count_cap)
     return ConstructionOutput(graph, labels, cert)
 
 
@@ -317,8 +312,8 @@ def ck_c4free_parallel(k: int, n: int, *,
         declared = 2 * m * m - m if k == 6 else m ** q
     if graph.n > n:
         raise ConstructionError("bundles exceeded the vertex budget")
-    cert = _certify(graph, (4,), f"C{k}", lambda g: count_cycles(g, k),
-                    declared, True, count_cap)
+    cert = _certify(graph, (4,), cycle_graph(k), f"C{k}", declared, True,
+                    count_cap)
     return ConstructionOutput(graph, labels, cert)
 
 
@@ -361,8 +356,8 @@ def conjecture_family(k: int, ell: int, n: int, *,
     if graph.n > n:
         raise ConstructionError("parallel runs exceeded the vertex budget")
     family = tuple(range(4, 2 * ell + 1, 2))
-    cert = _certify(graph, family, f"C{k}", lambda g: count_cycles(g, k),
-                    m ** b, False, count_cap)
+    cert = _certify(graph, family, cycle_graph(k), f"C{k}", m ** b, False,
+                    count_cap)
     return ConstructionOutput(graph, labels, cert)
 
 

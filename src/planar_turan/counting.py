@@ -1,9 +1,11 @@
-"""Copy, embedding, path and tripod counts.
+"""Copy, embedding and path counts.
 
-Copies of a pattern h in a host g are subgraphs of g isomorphic to h;
-the optimized route counts injective homomorphisms by backtracking in a
+Copies of a pattern h in a host g are subgraphs of g isomorphic to h.
+count_copies is the one place that picks the counter: a cycle pattern
+C_k goes to the cycle walker (`cycles.count_cycles`); any other pattern
+is counted as injective homomorphisms by backtracking in a
 connectivity-first vertex order with bitmask candidate filtering, then
-divides by |Aut(h)|.  The plain injective-homomorphism counter walks
+divided by |Aut(h)|.  The plain injective-homomorphism counter walks
 pattern vertices in id order with no candidate masks, so the two sides
 share no pruning logic and can cross-check each other.
 """
@@ -13,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import automorphism_count
-from .cycles import ForbiddenFamily, is_family_free
-from .graph import Graph
+from .cycles import ForbiddenFamily, count_cycles, is_family_free
+from .graph import Graph, is_connected
 from .graph6 import to_graph6
 
 
@@ -95,12 +97,20 @@ def _count_embeddings(h: Graph, g: Graph, stop_at_first: bool = False) -> int:
     return rec(0, 0)
 
 
+def _is_cycle(h: Graph) -> bool:
+    """True when h is the cycle C_n: n >= 3, every degree 2, connected
+    (a disjoint union of cycles is 2-regular too)."""
+    return (h.n >= 3 and h.edge_count == h.n
+            and all(len(row) == 2 for row in h.adj) and is_connected(h))
+
+
 def count_copies(h: Graph | Pattern, g: Graph) -> int:
-    """Number of subgraphs of g isomorphic to h."""
-    if isinstance(h, Pattern):
-        pattern_graph, aut = h.graph, h.automorphisms
-    else:
-        pattern_graph, aut = h, automorphism_count(h)
+    """Number of subgraphs of g isomorphic to h.  A cycle pattern is
+    counted by the cycle walker, with no automorphism count."""
+    pattern_graph = h.graph if isinstance(h, Pattern) else h
+    if _is_cycle(pattern_graph):
+        return count_cycles(g, pattern_graph.n)
+    aut = h.automorphisms if isinstance(h, Pattern) else automorphism_count(h)
     embeddings = _count_embeddings(pattern_graph, g)
     assert embeddings % aut == 0, "embedding count must be divisible by |Aut|"
     return embeddings // aut
@@ -157,58 +167,6 @@ def count_paths_between(g: Graph, u: int, v: int, k: int) -> int:
         return total
 
     return rec(u, 1 << u, k)
-
-
-def _simple_path_masks(g: Graph, x: int, target: int, length: int) -> list[int]:
-    """Vertex masks (endpoints included) of simple x->target paths with
-    exactly `length` edges."""
-    if length == 0:
-        return [1 << x] if x == target else []
-    if x == target:
-        return []
-    out: set[int] = set()
-    tbit = 1 << target
-
-    def rec(cur: int, mask: int, r: int) -> None:
-        if r == 1:
-            if g.has_edge(cur, target):
-                out.add(mask | tbit)
-            return
-        for w in g.adj[cur]:
-            if w != target and not mask >> w & 1:
-                rec(w, mask | 1 << w, r - 1)
-
-    rec(x, 1 << x, length)
-    return sorted(out)
-
-
-def count_tripod_vertices(g: Graph, v: int, u: int, w: int,
-                          n1: int, n2: int, n3: int) -> int:
-    """Vertices x with three paths to v, u, w of lengths n1, n2, n3 that
-    pairwise share only x."""
-    if len({v, u, w}) != 3:
-        raise ValueError("v, u, w must be three distinct vertices")
-    for t in (v, u, w):
-        if not 0 <= t < g.n:
-            raise ValueError(f"vertex {t} out of range")
-    if min(n1, n2, n3) < 0:
-        raise ValueError("path lengths must be >= 0")
-    count = 0
-    for x in range(g.n):
-        sets1 = _simple_path_masks(g, x, v, n1)
-        if not sets1:
-            continue
-        sets2 = _simple_path_masks(g, x, u, n2)
-        if not sets2:
-            continue
-        sets3 = _simple_path_masks(g, x, w, n3)
-        if not sets3:
-            continue
-        xbit = 1 << x
-        if any(a & b == xbit and a & c == xbit and b & c == xbit
-               for a in sets1 for b in sets2 for c in sets3):
-            count += 1
-    return count
 
 
 def probe_bounded_paths(graphs, ell: int, k: int) -> EmpiricalBound:

@@ -195,10 +195,3 @@ def closing_partners(g: Graph, family: ForbiddenFamily) -> tuple[int, ...]:
 
     return tuple(ends(a, 1 << a, 0) for a in range(g.n))
 
-
-def shortest_even_cycle(g: Graph) -> int | None:
-    """Length of the shortest even cycle, or None if no even cycle exists."""
-    for length in range(4, g.n + 1, 2):
-        if has_cycle(g, length):
-            return length
-    return None

@@ -1,5 +1,5 @@
-"""Structural parameters: independence number, beta, tree partition,
-degeneracy, and the minimum edge degree sum.
+"""Structural parameters: beta, tree partition, degeneracy, and the
+minimum edge degree sum.
 
 beta(h, i) maximizes the number of components of an induced subgraph
 whose components are only (a) single vertices of degree at most 1 in
@@ -51,39 +51,6 @@ class TreePartition:
     other_degree_two: frozenset[int]
     path_forest: Graph
     forest_vertices: tuple[int, ...]
-
-
-def independence_number(g: Graph) -> int:
-    """Exact maximum independent set size (branch and bound)."""
-    n = g.n
-    if n == 0:
-        return 0
-    bits = g.bits
-    best = 0
-
-    def rec(avail: int, size: int) -> None:
-        nonlocal best
-        if size + avail.bit_count() <= best:
-            return
-        if avail == 0:
-            best = max(best, size)
-            return
-        # branch on the available vertex with most available neighbors
-        v = -1
-        vdeg = -1
-        m = avail
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            d = (bits[w] & avail).bit_count()
-            if d > vdeg:
-                v, vdeg = w, d
-        rec(avail & ~(bits[v] | 1 << v), size + 1)
-        rec(avail & ~(1 << v), size)
-
-    rec((1 << n) - 1, 0)
-    return best
 
 
 def beta(h: Graph, i: int) -> BetaWitness:

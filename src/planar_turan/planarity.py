@@ -50,12 +50,10 @@ def is_planar(g: Graph, want_witness: bool = False) -> PlanarityVerdict:
     The witness is best-effort: its edges form a K5 or K3,3 subdivision
     inside g (in g's own labels) whenever networkx can isolate one.
     """
-    if g.n >= 3 and edge_bound_prefilter(g):
-        if not want_witness:
-            return PlanarityVerdict(False)
-    planar, _ = nx.check_planarity(_to_nx(g), counterexample=False)
+    if not want_witness and edge_bound_prefilter(g):
+        return PlanarityVerdict(False)
+    planar, sub = nx.check_planarity(_to_nx(g), counterexample=want_witness)
     if planar or not want_witness:
         return PlanarityVerdict(bool(planar))
-    _, sub = nx.check_planarity(_to_nx(g), counterexample=True)
     edges = tuple(sorted((u, v) if u < v else (v, u) for u, v in sub.edges()))
     return PlanarityVerdict(False, edges, _classify_witness(sub))

@@ -34,7 +34,7 @@ from .canonical import (CanonicalForm, canonical_form, canonical_search,
                         orbit_roots)
 from .counting import Pattern, count_copies
 from .cycles import (EMPTY_FAMILY, ForbiddenFamily, closing_partners,
-                     count_cycles, is_family_free)
+                     is_family_free)
 from .graph import Graph, empty_graph, is_connected
 from .graph6 import from_graph6, to_graph6
 from .planarity import is_planar
@@ -143,7 +143,9 @@ def _accepted_children(parent: Graph, family: ForbiddenFamily,
     return [f.as_graph() for f in accepted]
 
 
-def _check_cap(n: int, budget: SearchBudget) -> None:
+def _check_n(n: int, budget: SearchBudget) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     cap = min(budget.max_vertices, HARD_VERTEX_CAP)
     if n > cap:
         raise ValueError(
@@ -179,9 +181,7 @@ def enumerate_constrained(n: int, family: ForbiddenFamily = EMPTY_FAMILY,
     satisfying the constraints.  Raises SearchIncomplete if the budget's
     time limit passes mid-stream; partial output is never silent."""
     budget = budget or SearchBudget()
-    _check_cap(n, budget)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n, budget)
     for g in _grow([empty_graph(1)], n - 1, family, require_planar,
                    _deadline(budget)):
         if require_connected and not is_connected(g):
@@ -193,21 +193,9 @@ def enumerate_constrained(n: int, family: ForbiddenFamily = EMPTY_FAMILY,
 # Extremal numbers
 # ======================================================================
 
-def _cycle_length_of(h: Graph) -> int | None:
-    if h.n >= 3 and is_connected(h) and all(d == 2 for d in h.degree_sequence()):
-        return h.n
-    return None
-
-
-def _count_pattern(pattern: Pattern, cycle_len: int | None, g: Graph) -> int:
-    if cycle_len is not None:
-        return count_cycles(g, cycle_len)
-    return count_copies(pattern, g)
-
-
 def _subtree_task(parent: Graph, *, steps: int, family: ForbiddenFamily,
                   require_planar: bool, require_connected: bool,
-                  pattern: Pattern, cycle_len: int | None,
+                  pattern: Pattern,
                   deadline: float | None) -> tuple[int, int, list[Graph]]:
     """Extend one parent by `steps` vertices and scan the result; returns
     (explored, local_max, witnesses attaining local_max)."""
@@ -218,7 +206,7 @@ def _subtree_task(parent: Graph, *, steps: int, family: ForbiddenFamily,
         if require_connected and not is_connected(g):
             continue
         explored += 1
-        c = _count_pattern(pattern, cycle_len, g)
+        c = count_copies(pattern, g)
         if c > best:
             best = c
             witnesses = [g]
@@ -235,17 +223,16 @@ def extremal_number(n: int, pattern: Graph | Pattern,
     """Exact maximum of the pattern count over every (planar) family-free
     graph on n vertices, with all maximizing classes as witnesses."""
     budget = budget or SearchBudget()
-    _check_cap(n, budget)
+    _check_n(n, budget)
     if isinstance(pattern, Graph):
         pattern = Pattern.from_graph(pattern)
-    cycle_len = _cycle_length_of(pattern.graph)
     # The cache record holds neither the connectivity filter nor extra
     # patterns, so such searches are never cached.
     use_cache = (use_cache and not require_connected
                  and not family.extra_patterns)
     cached = _cache_lookup(n, pattern, family, require_planar) if use_cache else None
     if cached is not None:
-        _recertify(cached, require_planar, cycle_len)
+        _recertify(cached, require_planar)
         return cached
     start = time.monotonic()
     deadline = _deadline(budget)
@@ -256,7 +243,7 @@ def extremal_number(n: int, pattern: Graph | Pattern,
     task = partial(_subtree_task, steps=n - split, family=family,
                    require_planar=require_planar,
                    require_connected=require_connected, pattern=pattern,
-                   cycle_len=cycle_len, deadline=deadline)
+                   deadline=deadline)
     explored = 0
     best = -1
     found: list[Graph] = []
@@ -287,19 +274,18 @@ def extremal_number(n: int, pattern: Graph | Pattern,
     record = ExtremalRecord(n, pattern, family, best, witnesses, explored,
                             time.monotonic() - start, status)
     if status == "complete":
-        _recertify(record, require_planar, cycle_len)
+        _recertify(record, require_planar)
         if use_cache:
             _cache_store(record, require_planar)
     return record
 
 
-def _recertify(record: ExtremalRecord, require_planar: bool,
-               cycle_len: int | None) -> None:
+def _recertify(record: ExtremalRecord, require_planar: bool) -> None:
     for form in record.witnesses:
         g = form.as_graph()
         ok = (is_family_free(g, record.family)
               and (not require_planar or is_planar(g).is_planar)
-              and _count_pattern(record.pattern, cycle_len, g) == record.max_count)
+              and count_copies(record.pattern, g) == record.max_count)
         if not ok:
             raise RuntimeError(f"witness failed re-certification: {to_graph6(g)}")
 

@@ -24,7 +24,8 @@ from .graph import (Graph, build_graph, cycle_graph, empty_graph,
                     path_with_edges, star_graph)
 from .params import beta, degeneracy, min_edge_degree_sum, tree_partition
 from .planarity import is_planar
-from .search import SearchBudget, enumerate_constrained, extremal_number
+from .search import (SearchBudget, SearchIncomplete, enumerate_constrained,
+                     extremal_number)
 
 GROWTH_TOLERANCE = 0.15
 # (family, params, n sweep, expected log-log slope)
@@ -328,13 +329,18 @@ def _claim_planarity_oracle(budget: SearchBudget) -> tuple[str, list[dict]]:
     """Planarity verdicts against the subdivision-search oracle over every
     isomorphism class on at most 7 vertices."""
     details = _Rows()
+    own = SearchBudget(max_vertices=7, time_limit=budget.time_limit)
     for n in range(1, 8):
         total = 0
         mismatches = 0
-        for g in enumerate_constrained(n, EMPTY_FAMILY, require_planar=False):
-            total += 1
-            if is_planar(g).is_planar != is_planar_by_subdivision(g):
-                mismatches += 1
+        try:
+            for g in enumerate_constrained(n, EMPTY_FAMILY, require_planar=False,
+                                           budget=own):
+                total += 1
+                if is_planar(g).is_planar != is_planar_by_subdivision(g):
+                    mismatches += 1
+        except SearchIncomplete:
+            return _status(details, True), details
         details.append({
             "instance": f"all classes n={n}",
             "expected": f"{GRAPH_CLASS_COUNTS[n]} classes, 0 mismatches",
@@ -349,25 +355,29 @@ def _claim_degenerate_structure(budget: SearchBudget) -> tuple[str, list[dict]]:
     details = _Rows()
     worst_degen = 0
     planar_total = 0
-    for n in range(1, 8):
-        for g in enumerate_constrained(n, EMPTY_FAMILY, require_planar=True):
-            planar_total += 1
-            worst_degen = max(worst_degen, degeneracy(g))
-    details.append({"instance": f"degeneracy over {planar_total} planar classes n<=7",
-                    "expected": "<= 5", "got": worst_degen,
-                    "ok": worst_degen <= 5})
     fam = ForbiddenFamily(frozenset({4}))
     checked = 0
     worst_sum = None
-    wide = SearchBudget(max_vertices=8, parallel_width=budget.parallel_width)
-    for n in range(3, 9):
-        for g in enumerate_constrained(n, fam, require_planar=True, budget=wide):
-            if g.edge_count == 0 or min(g.degree_sequence()) < 2:
-                continue
-            checked += 1
-            s = min_edge_degree_sum(g)
-            if worst_sum is None or s > worst_sum:
-                worst_sum = s
+    own = SearchBudget(max_vertices=8, time_limit=budget.time_limit)
+    try:
+        for n in range(1, 8):
+            for g in enumerate_constrained(n, EMPTY_FAMILY, require_planar=True,
+                                           budget=own):
+                planar_total += 1
+                worst_degen = max(worst_degen, degeneracy(g))
+        details.append({
+            "instance": f"degeneracy over {planar_total} planar classes n<=7",
+            "expected": "<= 5", "got": worst_degen, "ok": worst_degen <= 5})
+        for n in range(3, 9):
+            for g in enumerate_constrained(n, fam, require_planar=True, budget=own):
+                if g.edge_count == 0 or min(g.degree_sequence()) < 2:
+                    continue
+                checked += 1
+                s = min_edge_degree_sum(g)
+                if worst_sum is None or s > worst_sum:
+                    worst_sum = s
+    except SearchIncomplete:
+        return _status(details, True), details
     details.append({"instance": f"min edge degree sum over {checked} planar "
                                 f"C4-free classes with min degree >= 2, n<=8",
                     "expected": "<= 7", "got": worst_sum,

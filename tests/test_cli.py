@@ -170,6 +170,15 @@ def test_verify_rows_carry_runtime(capsys):
     assert runtimes[slowest["instance"]] == slowest["runtime_s"] == max(runtimes.values())
 
 
+@pytest.mark.parametrize("claim", ["planarity-oracle", "degenerate-structure"])
+def test_verify_enumeration_claims_honour_the_time_limit(capsys, claim):
+    code, payload = _run_json(capsys, ["verify", "--claim", claim,
+                                       "--budget-seconds", "0.01"])
+    assert code == EXIT_INCOMPLETE
+    assert payload["status"] == "incomplete"
+    assert payload["runtime_s"] < 0.5
+
+
 def test_verify_unknown_claim(capsys):
     assert main(["verify", "--claim", "no-such-claim"]) == EXIT_USAGE
     capsys.readouterr()
@@ -231,6 +240,21 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == EXIT_PASS
     payload = json.loads(target.read_text())
     assert payload["count"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "12", "--pattern", "C5"],  # above the vertex cap
+    ["search", "--n", "0", "--pattern", "C5"],
+    ["count-cycles", "--graph", "K4", "--k", "2"],
+    ["search", "--n", "5", "--pattern", "C5", "--budget-seconds", "0"],
+    ["search", "--n", "5", "--pattern", "C5", "--jobs", "0"],
+    ["search", "--n", "5", "--pattern", "C5", "--max-vertices", "0"],
+])
+def test_refused_inputs_become_usage_exit(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_argparse_errors_become_usage_exit(capsys):

@@ -177,11 +177,12 @@ def test_conjecture_family_validation():
 
 
 def test_certification_rejects_false_declarations():
-    with pytest.raises(CertificationError):
-        _certify(complete_graph(4), (), "demo", lambda g: 0, 5, True, 80)
-    with pytest.raises(CertificationError):
-        # planarity is checked unconditionally, not only the count
-        _certify(complete_graph(5), (), "demo", lambda g: 0, 0, True, 80)
+    with pytest.raises(CertificationError, match="declared=5, computed=4"):
+        # K4 has 4 triangles
+        _certify(complete_graph(4), (), cycle_graph(3), "C3", 5, True, 80)
+    with pytest.raises(CertificationError, match="planar=False"):
+        # planarity is checked unconditionally: K5's 10 triangles are right
+        _certify(complete_graph(5), (), cycle_graph(3), "C3", 10, True, 80)
 
 
 def test_count_cap_skips_recount():

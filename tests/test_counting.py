@@ -1,8 +1,10 @@
-"""Copy counting via two independent routes plus the path/tripod helpers."""
+"""Copy counting via two independent routes plus the path helpers."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planar_turan.bruteforce import count_copies_brute, count_paths_brute
 from planar_turan.canonical import automorphism_count
@@ -12,18 +14,22 @@ from planar_turan.counting import (
     count_copies,
     count_injective_homs,
     count_paths_between,
-    count_tripod_vertices,
     has_injective_hom,
     probe_bounded_paths,
 )
+from planar_turan.cycles import count_cycles
 from planar_turan.graph import (
     build_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     empty_graph,
     path_with_edges,
     star_graph,
 )
+
+# few examples and no example database: tier-1 stays fast and leaves no files
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
 
 
 def _random_graph(rng, n, p):
@@ -54,6 +60,39 @@ def test_copies_times_automorphisms_is_injective_homs():
         copies = count_copies(h, g)
         assert copies * automorphism_count(h) == count_injective_homs(h, g)
         assert copies == count_copies_brute(h, g)
+
+
+@st.composite
+def small_hosts(draw, max_n=7):
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [p for p, kept in zip(pairs, keep) if kept])
+
+
+@st.composite
+def relabelled_cycles(draw):
+    k = draw(st.integers(3, 6))
+    return k, cycle_graph(k).relabel(draw(st.permutations(range(k))))
+
+
+@PROPERTY
+@given(relabelled_cycles(), small_hosts())
+def test_property_cycle_patterns_match_cycle_walker_and_brute(case, g):
+    k, h = case
+    want = count_cycles(g, k)
+    assert count_copies(h, g) == want
+    assert count_copies(Pattern.from_graph(h), g) == want
+    assert count_copies_brute(h, g) == want
+
+
+@PROPERTY
+@given(st.sampled_from([(3, 3), (3, 4)]), small_hosts())
+def test_property_disjoint_cycles_take_the_embedding_route(sizes, g):
+    # 2-regular but disconnected: not a cycle, so not count_cycles(g, n)
+    h = disjoint_union([cycle_graph(k) for k in sizes])
+    assert count_copies(h, g) == count_copies_brute(h, g)
+    assert count_copies(Pattern.from_graph(h), g) == count_copies_brute(h, g)
 
 
 def test_pattern_reuse():
@@ -105,20 +144,6 @@ def test_count_paths_between_validation():
         count_paths_between(cycle_graph(4), 0, 0, 2)
     with pytest.raises(ValueError):
         count_paths_between(cycle_graph(4), 0, 9, 2)
-
-
-def test_tripod_vertices():
-    assert count_tripod_vertices(star_graph(3), 1, 2, 3, 1, 1, 1) == 1
-    assert count_tripod_vertices(complete_graph(4), 0, 1, 2, 1, 1, 1) == 1
-    # on a path no vertex reaches three distinct ends disjointly
-    p = path_with_edges(4)
-    assert count_tripod_vertices(p, 0, 2, 4, 1, 1, 1) == 0
-    with pytest.raises(ValueError):
-        count_tripod_vertices(star_graph(3), 1, 1, 2, 1, 1, 1)
-    with pytest.raises(ValueError):
-        count_tripod_vertices(star_graph(3), 1, 2, 9, 1, 1, 1)
-    with pytest.raises(ValueError):
-        count_tripod_vertices(star_graph(3), 1, 2, 3, -1, 1, 1)
 
 
 def test_probe_bounded_paths():

@@ -13,7 +13,6 @@ from planar_turan.cycles import (
     count_cycles,
     has_cycle,
     is_family_free,
-    shortest_even_cycle,
 )
 from planar_turan.graph import (
     build_graph,
@@ -145,16 +144,6 @@ def test_extra_patterns_in_family():
     assert not is_family_free(complete_bipartite(1, 5), claw_free)
     assert is_family_free(cycle_graph(6), claw_free)
     assert is_family_free(path_with_edges(4), claw_free)
-
-
-def test_shortest_even_cycle():
-    assert shortest_even_cycle(cycle_graph(5)) is None
-    assert shortest_even_cycle(cycle_graph(6)) == 6
-    assert shortest_even_cycle(complete_graph(4)) == 4
-    assert shortest_even_cycle(path_with_edges(5)) is None
-    # C5 with one chord has a C4 but the odd cycles do not count
-    chorded = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-    assert shortest_even_cycle(chorded) == 4
 
 
 def test_closing_partners_match_new_cycles():

@@ -16,25 +16,10 @@ from planar_turan.graph import (
 from planar_turan.params import (
     beta,
     degeneracy,
-    independence_number,
     min_edge_degree_sum,
     tree_partition,
 )
 from planar_turan.verify import random_tree
-
-
-@pytest.mark.parametrize("g,alpha", [
-    (cycle_graph(5), 2),
-    (cycle_graph(6), 3),
-    (complete_graph(4), 1),
-    (star_graph(3), 3),
-    (path_with_edges(4), 3),
-    (complete_bipartite(3, 3), 3),
-    (empty_graph(5), 5),
-    (empty_graph(0), 0),
-])
-def test_independence_number(g, alpha):
-    assert independence_number(g) == alpha
 
 
 def test_beta_path_closed_form():

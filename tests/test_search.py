@@ -140,6 +140,12 @@ def test_extremal_deterministic_across_widths():
     assert serial.graphs_explored == parallel.graphs_explored
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_extremal_refuses_empty_vertex_counts(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        extremal_number(n, cycle_graph(5), C4_FREE, use_cache=False)
+
+
 def test_extremal_time_limit_yields_incomplete():
     rec = extremal_number(7, cycle_graph(5), C4_FREE,
                           SearchBudget(time_limit=1e-7))
