@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .graph import Graph
+from .params import BetaWitness
 
 
 def are_isomorphic_brute(g: Graph, h: Graph) -> bool:
@@ -91,6 +92,47 @@ def count_paths_brute(g: Graph, u: int, v: int, k: int) -> int:
         if all(g.has_edge(seq[i], seq[i + 1]) for i in range(k)):
             total += 1
     return total
+
+
+def beta_brute(h: Graph, i: int) -> BetaWitness:
+    """beta by its definition: every subset of the degree-<=2 vertices, in
+    include-first order over ascending ids, whose induced components are
+    each a singleton of degree <= 1 in h or a path on exactly i vertices
+    of degree 2 in h.  The first subset with the most components wins."""
+    eligible = [v for v in range(h.n) if h.degree(v) <= 2]
+    best = BetaWitness(0, ())
+    for code in range((1 << len(eligible)) - 1, -1, -1):
+        if code.bit_count() <= best.value:
+            continue  # no more components than vertices
+        chosen = sum(1 << v for k, v in enumerate(reversed(eligible)) if code >> k & 1)
+        comps = []
+        rest = chosen
+        while rest:
+            comp = rest & -rest
+            grown = 0
+            while grown != comp:
+                grown = comp
+                for v in _members(comp):
+                    comp |= h.bits[v] & chosen
+            comps.append(comp)
+            rest &= ~comp
+        if len(comps) > best.value and all(_beta_piece(h, c, i) for c in comps):
+            best = BetaWitness(len(comps), tuple(sorted(_members(c) for c in comps)))
+    return best
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _beta_piece(h: Graph, comp: int, i: int) -> bool:
+    members = _members(comp)
+    if len(members) == 1 and h.degree(members[0]) <= 1:
+        return True
+    degree_sum = sum((h.bits[v] & comp).bit_count() for v in members)
+    # connected with |comp| - 1 edges and every degree 2 in h: a path
+    return (len(members) == i and degree_sum == 2 * (i - 1)
+            and all(h.degree(v) == 2 for v in members))
 
 
 # ======================================================================

@@ -4,8 +4,18 @@ minimum edge degree sum.
 beta(h, i) maximizes the number of components of an induced subgraph
 whose components are only (a) single vertices of degree at most 1 in
 h, or (b) paths on exactly i vertices all of degree 2 in h.  Vertices
-of degree >= 3 never participate, so the search runs over the
-degree-<=2 vertices with incremental path-component tracking and undo.
+of degree >= 3 never participate, and the degree-<=2 vertices induce
+disjoint paths and cycles, the pieces.  No chosen component spans two
+pieces, so beta is a sum over pieces.  Each path piece is one scan in
+walk order (last vertex unchosen, a chosen singleton, or a chosen run
+of length 1..i); a cycle piece is a whole component of h, and any i + 1
+consecutive vertices of it hold an unchosen one, so it is scanned as a
+path opened at each of those.
+
+The witness is the lexicographically first optimal set: over the
+degree-<=2 vertices in ascending id, each vertex is taken whenever
+some optimum contains it and agrees with every earlier choice.  The
+constructions build their hosts from this set, so it must not change.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from dataclasses import dataclass
 from .graph import Graph, induced_subgraph, is_tree
 
 _BETA_CAP = 24
+_NONE = -(1 << 20)  # the count of an infeasible state; stays negative
 
 
 @dataclass(frozen=True)
@@ -55,76 +66,80 @@ class TreePartition:
 
 def beta(h: Graph, i: int) -> BetaWitness:
     """Maximum number of components over induced subgraphs whose components
-    are degree-<=1 singletons or degree-2 paths on i vertices."""
+    are degree-<=1 singletons or degree-2 paths on i vertices.  The witness
+    is the lexicographically first optimal set: its 0/1 vector over the
+    degree-<=2 vertices in ascending id is the greatest."""
     if i < 1:
         raise ValueError(f"beta index must be >= 1, got {i}")
     if h.n > _BETA_CAP:
         raise ValueError(f"beta search is capped at {_BETA_CAP} vertices (got {h.n})")
-    deg = [h.degree(v) for v in range(h.n)]
-    eligible = [v for v in range(h.n) if deg[v] <= 2]
-    total = len(eligible)
-    parent = list(range(h.n))
-    size = [1] * h.n
-    chosen_mask = 0
-    best = 0
-    best_mask = 0
+    total = 0
+    mask = 0
+    for seq, closed in _pieces(h):
+        low = [h.degree(v) <= 1 for v in seq]
+        force: list[bool | None] = [None] * len(seq)
+        best = _piece_best(low, force, closed, i)
+        # the lexicographic maximum of a product is the product of the
+        # per-piece maxima, so each piece fixes its vertices greedily
+        for pos in sorted(range(len(seq)), key=seq.__getitem__):
+            force[pos] = True
+            if _piece_best(low, force, closed, i) != best:
+                force[pos] = False
+            else:
+                mask |= 1 << seq[pos]
+        total += best
+    return BetaWitness(total, _components_of_mask(h, mask))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
 
-    def rec(idx: int, comp_count: int, incomplete: int) -> None:
-        nonlocal chosen_mask, best, best_mask
-        if idx == total:
-            if incomplete == 0 and comp_count > best:
-                best = comp_count
-                best_mask = chosen_mask
-            return
-        if comp_count + (total - idx) <= best:
-            return
-        v = eligible[idx]
-        # include v
-        nbrs = [u for u in h.adj[v] if chosen_mask >> u & 1]
-        ok = True
-        if deg[v] <= 1:
-            ok = not nbrs
-            if ok:
-                chosen_mask |= 1 << v
-                rec(idx + 1, comp_count + 1, incomplete)
-                chosen_mask ^= 1 << v
+def _pieces(h: Graph) -> list[tuple[list[int], bool]]:
+    """The paths and cycles of h restricted to its degree-<=2 vertices, each
+    in walk order with a flag for cycles.  Paths are walked from an end;
+    the vertices left over lie on cycles, each a whole component of h."""
+    nbrs = {v: [u for u in h.adj[v] if h.degree(u) <= 2]
+            for v in range(h.n) if h.degree(v) <= 2}
+    ends = [v for v, near in nbrs.items() if len(near) < 2]
+    seen: set[int] = set()
+    pieces = []
+    for v in ends + list(nbrs):
+        if v in seen:
+            continue
+        seq, prev = [v], v
+        while nxt := [u for u in nbrs[seq[-1]] if u != prev and u != v]:
+            prev = seq[-1]
+            seq.append(nxt[0])
+        seen.update(seq)
+        pieces.append((seq, len(nbrs[v]) == 2))
+    return pieces
+
+
+def _piece_best(low: list[bool], force: list[bool | None], closed: bool,
+                i: int) -> int:
+    """Best count on one piece with some vertices forced in (True) or out
+    (False); negative when the forced values admit no valid set.  A cycle
+    has an unchosen vertex among any i + 1 consecutive ones, so it is
+    opened at each of the i + 1 vertices ending at its start."""
+    if not closed:
+        return _path_best(low, force, i)
+    n = len(low)
+    return max((_path_best(low[k:] + low[:k], [False] + force[k + 1:] + force[:k], i)
+                for k in {(n - j) % n for j in range(i + 1)} if force[k] is not True),
+               default=_NONE)
+
+
+def _path_best(low: list[bool], force: list[bool | None], i: int) -> int:
+    """Scan a path: the last vertex is unchosen, a chosen degree-<=1
+    singleton, or closes a chosen degree-2 run of length r (runs[r - 1]).
+    A run is counted when it starts and may end only at length i."""
+    out, single, runs = 0, _NONE, [_NONE] * i
+    for lo, f in zip(low, force):
+        done = max(out, single, runs[-1])
+        if f is False:
+            out, single, runs = done, _NONE, [_NONE] * i
+        elif lo:
+            out, single, runs = (_NONE if f else done), out + 1, [_NONE] * i
         else:
-            roots = []
-            for u in nbrs:
-                if deg[u] == 1:
-                    ok = False
-                    break
-                r = find(u)
-                if r not in roots:
-                    roots.append(r)
-            if ok and len(nbrs) == 2 and len(roots) == 1:
-                ok = False  # closing a cycle
-            if ok:
-                merged = 1 + sum(size[r] for r in roots)
-                if merged > i:
-                    ok = False
-            if ok:
-                was_incomplete = sum(1 for r in roots if size[r] != i)
-                chosen_mask |= 1 << v
-                for r in roots:
-                    parent[r] = v
-                size[v] = merged
-                delta_inc = (1 if merged != i else 0) - was_incomplete
-                rec(idx + 1, comp_count + 1 - len(roots), incomplete + delta_inc)
-                for r in roots:
-                    parent[r] = r
-                size[v] = 1
-                chosen_mask ^= 1 << v
-        # exclude v
-        rec(idx + 1, comp_count, incomplete)
-
-    rec(0, 0, 0)
-    return BetaWitness(best, _components_of_mask(h, best_mask))
+            out, single, runs = (_NONE if f else done), _NONE, [out + 1] + runs[:-1]
+    return max(out, single, runs[-1])
 
 
 def _components_of_mask(h: Graph, mask: int) -> tuple[tuple[int, ...], ...]:

@@ -149,8 +149,9 @@ def _check_n(n: int, budget: SearchBudget) -> None:
     cap = min(budget.max_vertices, HARD_VERTEX_CAP)
     if n > cap:
         raise ValueError(
-            f"n = {n} exceeds the vertex cap {cap}; pass a SearchBudget with "
-            f"max_vertices up to {HARD_VERTEX_CAP} to opt in to larger runs")
+            f"n = {n} exceeds the vertex cap {cap}; pass --max-vertices (CLI) or "
+            f"a SearchBudget with max_vertices (library) up to {HARD_VERTEX_CAP} "
+            f"to opt in to larger runs")
 
 
 def _grow(level: list[Graph], steps: int, family: ForbiddenFamily,

@@ -257,6 +257,11 @@ def test_refused_inputs_become_usage_exit(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+def test_vertex_cap_refusal_names_the_cli_option(capsys):
+    assert main(["search", "--n", "12", "--pattern", "C5"]) == EXIT_USAGE
+    assert "--max-vertices" in capsys.readouterr().err.splitlines()[0]
+
+
 def test_argparse_errors_become_usage_exit(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["is-planar"]) == EXIT_USAGE

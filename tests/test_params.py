@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from planar_turan.bruteforce import beta_brute
 from planar_turan.graph import (
     build_graph,
     complete_bipartite,
@@ -19,7 +22,11 @@ from planar_turan.params import (
     min_edge_degree_sum,
     tree_partition,
 )
+from planar_turan.search import enumerate_constrained
 from planar_turan.verify import random_tree
+
+# few examples and no example database: tier-1 stays fast and leaves no files
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
 
 
 def test_beta_path_closed_form():
@@ -44,25 +51,132 @@ def test_beta_counts_isolated_vertices():
     assert beta(mixed, 1).value == 3
 
 
+def _path_cycle_union(rng, max_n):
+    """A randomly relabelled disjoint union of paths and cycles."""
+    parts = []
+    total = 0
+    while True:
+        part = (cycle_graph(rng.randint(3, 9)) if rng.random() < 0.5
+                else path_with_edges(rng.randint(0, 7)))
+        if total + part.n > max_n:
+            break
+        parts.append(part)
+        total += part.n
+    g = disjoint_union(parts)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return parts, g.relabel(perm)
+
+
+def _closed_form(part, ell):
+    """beta of one path (k edges) or cycle, as in the closed-form tests."""
+    if part.edge_count == part.n:
+        return part.n // (ell + 1)
+    return 1 + (part.edge_count + ell - 1) // (ell + 1)
+
+
+def _branchy_host(rng, max_n):
+    """K4 with pendant paths and degree-2 chains between its vertices,
+    randomly relabelled: every degree-<=2 piece is a path attached to a
+    degree->=3 vertex."""
+    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    n = 4
+    while True:
+        length = rng.randint(1, 6)
+        if n + length > max_n:
+            break
+        ends = rng.sample(range(4), 2)
+        chain = [ends[0]] + list(range(n, n + length))
+        if rng.random() < 0.5:
+            chain.append(ends[1])  # a chain between two branch vertices
+        edges += list(zip(chain, chain[1:]))
+        n += length
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, edges).relabel(perm)
+
+
+def _assert_valid_witness(h, ell, wit):
+    assert len(wit.components) == wit.value
+    chosen = [v for comp in wit.components for v in comp]
+    assert len(chosen) == len(set(chosen))
+    sub = induced_subgraph(h, chosen)
+    # no edges may run between two chosen components
+    assert sub.edge_count == sum(len(c) - 1 for c in wit.components)
+    for comp in wit.components:
+        if len(comp) == 1 and h.degree(comp[0]) <= 1:
+            continue
+        assert len(comp) == ell
+        assert all(h.degree(v) == 2 for v in comp)
+        assert induced_subgraph(h, comp).edge_count == ell - 1
+
+
 def test_beta_witness_is_valid():
     rng = random.Random(246)
     for _ in range(60):
         n = rng.randint(2, 12)
         t = random_tree(rng, n)
         ell = rng.randint(1, 3)
-        wit = beta(t, ell)
-        assert len(wit.components) == wit.value
-        chosen = [v for comp in wit.components for v in comp]
-        assert len(chosen) == len(set(chosen))
-        sub = induced_subgraph(t, chosen)
-        # no edges may run between two chosen components
-        assert sub.edge_count == sum(len(c) - 1 for c in wit.components)
-        for comp in wit.components:
-            if len(comp) == 1:
-                assert t.degree(comp[0]) <= 1 or (ell == 1 and t.degree(comp[0]) == 2)
-            else:
-                assert len(comp) == ell
-                assert all(t.degree(v) == 2 for v in comp)
+        _assert_valid_witness(t, ell, beta(t, ell))
+    # non-tree hosts up to the 24-vertex cap
+    for k in range(3, 25):
+        for ell in range(1, 5):
+            wit = beta(cycle_graph(k), ell)
+            _assert_valid_witness(cycle_graph(k), ell, wit)
+            assert wit.value == k // (ell + 1)
+    for _ in range(60):
+        ell = rng.randint(1, 4)
+        parts, g = _path_cycle_union(rng, 24)
+        wit = beta(g, ell)
+        _assert_valid_witness(g, ell, wit)
+        assert wit.value == sum(_closed_form(p, ell) for p in parts)
+        h = _branchy_host(rng, 24)
+        _assert_valid_witness(h, ell, beta(h, ell))
+    # the cycle 0, 2, 3, ..., 23, 1: the chosen run through 0 wraps to 1,
+    # the vertex before the cycle's start in walk order
+    wrap = cycle_graph(24).relabel([0] + list(range(2, 24)) + [1])
+    for ell in (2, 3, 4):
+        wit = beta(wrap, ell)
+        _assert_valid_witness(wrap, ell, wit)
+        assert wit.value == 24 // (ell + 1)
+        assert wit.components[0][:2] == (0, 1)
+
+
+def test_beta_matches_brute_on_all_small_classes():
+    classes = [g for n in range(1, 8)
+               for g in enumerate_constrained(n, require_planar=False)]
+    assert len(classes) == 1252
+    for g in classes:
+        for ell in range(1, 5):
+            assert beta(g, ell) == beta_brute(g, ell)
+
+
+def test_beta_matches_brute_on_trees_and_path_cycle_unions():
+    rng = random.Random(808)
+    hosts = []
+    while len(hosts) < 80:
+        t = random_tree(rng, rng.randint(2, 16))
+        if sum(1 for v in range(t.n) if t.degree(v) <= 2) <= 12:
+            hosts.append(t)
+        hosts.append(_path_cycle_union(rng, rng.randint(3, 12))[1])
+    for g in hosts:
+        for ell in range(1, 5):
+            assert beta(g, ell) == beta_brute(g, ell)
+
+
+@st.composite
+def sparse_graphs(draw, max_n=10):
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.integers(0, 3), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return build_graph(n, [p for p, k in zip(pairs, keep) if k == 0])
+
+
+@PROPERTY
+@given(sparse_graphs(), st.integers(1, 4))
+def test_property_beta_matches_brute(g, ell):
+    assert beta(g, ell) == beta_brute(g, ell)
 
 
 def test_beta_validation():
