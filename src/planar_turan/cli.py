@@ -301,6 +301,7 @@ def _table_rows(spec_text: str, budget: SearchBudget):
 
 def _cmd_table(args) -> int:
     header, rows = _table_rows(args.spec, _budget(args))
+    records = [dict(zip(header, r)) for r in rows]
     base = args.output
     try:
         with open(base + ".csv", "w", newline="", encoding="utf-8") as fh:
@@ -308,14 +309,15 @@ def _cmd_table(args) -> int:
             writer.writerow(header)
             writer.writerows(rows)
         with open(base + ".json", "w", encoding="utf-8") as fh:
-            json.dump({"header": header,
-                       "rows": [dict(zip(header, r)) for r in rows]},
+            json.dump({"header": header, "rows": records},
                       fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
         print(f"cannot write table to {base!r}: {exc}", file=sys.stderr)
         return EXIT_FAIL
     print(f"wrote {base}.csv and {base}.json ({len(rows)} rows)")
+    if any(r.get("status") == "incomplete" for r in records):
+        return EXIT_INCOMPLETE
     return EXIT_PASS
 
 

@@ -199,6 +199,18 @@ def test_table_extremal(tmp_path, capsys):
     assert [r["max_count"] for r in data["rows"]] == [0, 1, 1]
 
 
+def test_table_with_an_incomplete_row_exits_2(tmp_path, capsys):
+    base = tmp_path / "cut"
+    code = main(["table", "--spec", "extremal n=4..7 pattern=C5 forbid=",
+                 "--budget-seconds", "0.01", "--output", str(base)])
+    capsys.readouterr()
+    assert code == EXIT_INCOMPLETE
+    with open(f"{base}.json") as fh:
+        rows = json.load(fh)["rows"]
+    assert [r["n"] for r in rows] == [4, 5, 6, 7]
+    assert rows[-1]["status"] == "incomplete"
+
+
 def test_table_beta(tmp_path, capsys):
     base = tmp_path / "beta"
     code = main(["table", "--spec", "beta graph=path k=1..4 ell=1..2",

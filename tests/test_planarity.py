@@ -1,16 +1,29 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planar_turan.bruteforce import is_planar_by_subdivision
+from planar_turan.constructions import ConstructionSpec, build_construction
 from planar_turan.graph import (
     build_graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     path_with_edges,
     star_graph,
 )
-from planar_turan.planarity import edge_bound_prefilter, is_planar
+from planar_turan.graph6 import from_graph6
+from planar_turan.planarity import is_planar
+from planar_turan.verify import CERTIFICATION_MATRIX
 
 
 def _random_graph(rng, n, p):
@@ -61,17 +74,210 @@ def test_witness_is_a_nonplanar_subgraph():
         assert not is_planar_by_subdivision(witness)
 
 
-def test_edge_bound_prefilter():
-    # True means m > 3n - 6 already rules planarity out
-    assert edge_bound_prefilter(complete_graph(5))
-    assert not edge_bound_prefilter(complete_graph(4))
-    assert not edge_bound_prefilter(cycle_graph(8))
-    assert not edge_bound_prefilter(path_with_edges(1))
-
-
 def test_agreement_with_subdivision_oracle():
     rng = random.Random(113)
     for _ in range(250):
         n = rng.randint(1, 7)
         g = _random_graph(rng, n, rng.uniform(0.1, 0.95))
         assert is_planar(g).is_planar == is_planar_by_subdivision(g)
+
+
+# ----------------------------------------------------------------------
+# The left-right test against networkx's check_planarity, the reference
+# implementation of the same criterion (networkx comes with the test
+# extra; the package itself does not import it).
+# ----------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
+WITNESS_CORPUS = Path(__file__).parent / "data" / "planarity_witnesses.json"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _nx_planar(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return nx.check_planarity(h)[0]
+
+
+def _triangulated_grid(rows, cols):
+    """A planar grid with one diagonal per cell: 3n - O(sqrt n) edges."""
+    def at(r, c):
+        return r * cols + c
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((at(r, c), at(r, c + 1)))
+            if r + 1 < rows:
+                edges.append((at(r, c), at(r + 1, c)))
+            if r + 1 < rows and c + 1 < cols:
+                edges.append((at(r, c), at(r + 1, c + 1)))
+    return rows * cols, edges
+
+
+def _grid(k):
+    return build_graph(k * k, [(r * k + c, r * k + c + 1) for r in range(k)
+                               for c in range(k - 1)]
+                       + [(r * k + c, (r + 1) * k + c) for r in range(k - 1)
+                          for c in range(k)])
+
+
+@st.composite
+def small_graphs(draw, max_n=10):
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [p for p, kept in zip(pairs, keep) if kept])
+
+
+def test_agreement_with_networkx_on_random_graphs():
+    rng = random.Random(4021)
+    verdicts = []
+    for _ in range(300):
+        # a random graph with n <= 40 and up to about 4n edges
+        n = rng.randint(0, 40)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = build_graph(n, rng.sample(pairs, min(len(pairs), rng.randint(0, 4 * n))))
+        verdicts.append(is_planar(g).is_planar)
+        assert verdicts[-1] == _nx_planar(g), g.edges
+    for _ in range(300):
+        # a thinned planar triangulated grid plus 0-3 random chords,
+        # relabelled: both sides of the boundary at m close to 3n
+        n, edges = _triangulated_grid(rng.randint(2, 6), rng.randint(2, 6))
+        p = rng.choice((1.0, 0.9, 0.7))
+        edges = [e for e in edges if rng.random() < p]
+        for _ in range(rng.randint(0, 3)):
+            edges.append(tuple(rng.sample(range(n), 2)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = build_graph(n, edges).relabel(perm)
+        verdicts.append(is_planar(g).is_planar)
+        assert verdicts[-1] == _nx_planar(g), g.edges
+    assert 100 < verdicts.count(True) < 500
+
+
+@PROPERTY
+@given(small_graphs())
+def test_property_agrees_with_networkx(g):
+    assert is_planar(g).is_planar == _nx_planar(g)
+
+
+def test_agreement_with_networkx_on_construction_hosts():
+    hosts = [build_construction(ConstructionSpec(family, params), n=n,
+                                count_cap=0).graph
+             for family, params, n in CERTIFICATION_MATRIX]
+    growth = ConstructionSpec("ck_c4free_parallel", {"k": 9})
+    hosts += [build_construction(growth, n=n, count_cap=0).graph
+              for n in (123, 243, 483)]
+    assert len(hosts) == 73
+    for g in hosts:
+        assert is_planar(g).is_planar == _nx_planar(g) is True
+
+
+def test_tiny_and_disconnected_graphs():
+    for g in (empty_graph(0), empty_graph(1), empty_graph(2),
+              path_with_edges(1), empty_graph(9)):
+        assert is_planar(g).is_planar
+    k5, k33, k4 = complete_graph(5), complete_bipartite(3, 3), complete_graph(4)
+    cases = [
+        (disjoint_union([k4, cycle_graph(7), empty_graph(3), k4]), True),
+        (disjoint_union([k4, k5]), False),
+        (disjoint_union([empty_graph(4), k33, path_with_edges(3)]), False),
+        (disjoint_union([path_with_edges(2), k4, k5, k33]), False),
+    ]
+    for g, planar in cases:
+        assert is_planar(g).is_planar is planar is _nx_planar(g)
+        verdict = is_planar(g, want_witness=True)
+        assert verdict.is_planar is planar
+        assert (verdict.witness_kind is None) is planar
+
+
+def test_deep_dfs_needs_no_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert is_planar(path_with_edges(4999)).is_planar
+        grid = _grid(60)
+        assert is_planar(grid).is_planar
+        # K3,3 subdivided onto the grid: six corner-ish branch vertices,
+        # joined a_i - b_j by nine new paths of 25 vertices each
+        a = (0, 59, 1830)
+        b = (3540, 3599, 1769)
+        edges = list(grid.edges)
+        n = grid.n
+        for u in a:
+            for v in b:
+                path = [u, *range(n, n + 25), v]
+                edges += list(zip(path, path[1:]))
+                n += 25
+        planted = build_graph(n, edges)
+        assert not is_planar(planted).is_planar
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _nx_planar(planted) is False
+
+
+def _witness_graph(edges):
+    vertices = sorted({x for e in edges for x in e})
+    return build_graph(len(vertices), [(vertices.index(u), vertices.index(v))
+                                       for u, v in edges])
+
+
+def test_witness_corpus_matches_networkx_deletion_order():
+    """Each row of the corpus holds a non-planar graph (graph6, n = 5..14),
+    the kind and the edges of the witness networkx's
+    check_planarity(counterexample=True) gives for it.  The deletion
+    witness must reproduce both, and be edge-minimal."""
+    corpus = json.loads(WITNESS_CORPUS.read_text())
+    assert len(corpus) == 300
+    for text, kind, edges in corpus:
+        g = from_graph6(text)
+        verdict = is_planar(g, want_witness=True)
+        assert not verdict.is_planar
+        assert verdict.witness_kind == kind is not None
+        assert verdict.witness_edges == tuple(map(tuple, edges))
+        witness = _witness_graph(verdict.witness_edges)
+        assert not _nx_planar(witness)
+        for drop in witness.edges:
+            rest = build_graph(witness.n, [e for e in witness.edges if e != drop])
+            assert _nx_planar(rest), (text, drop)
+
+
+def test_witness_equals_networkx_counterexample_live():
+    rng = random.Random(77)
+    found = 0
+    while found < 15:
+        n = rng.randint(5, 10)
+        g = _random_graph(rng, n, rng.uniform(0.3, 0.6))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges)
+        planar, sub = nx.check_planarity(h, counterexample=True)
+        if planar:
+            continue
+        found += 1
+        expected = tuple(sorted((u, v) if u < v else (v, u) for u, v in sub.edges()))
+        assert is_planar(g, want_witness=True).witness_edges == expected
+
+
+def _run_python(code):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_does_not_load_networkx():
+    out = _run_python("import sys, planar_turan; "
+                      "print('networkx' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_witness_without_networkx_installed():
+    out = _run_python(
+        "import sys; sys.modules['networkx'] = None\n"
+        "from planar_turan import complete_graph, is_planar\n"
+        "v = is_planar(complete_graph(5), want_witness=True)\n"
+        "print(v.is_planar, v.witness_kind, len(v.witness_edges))")
+    assert out.split() == ["False", "K5", "10"]
