@@ -1,12 +1,31 @@
 """Canonical labeling and automorphism counting for small graphs.
 
-The canonical form is computed by iterative refinement of an ordered
-partition (degree-style counting against every cell) plus backtracking
-over individualization choices.  Leaves of the search tree are complete
-labelings; the lexicographically least encoding wins.  Automorphisms
-discovered as equal-encoding leaves prune sibling branches, which keeps
-highly symmetric inputs (empty or complete graphs) tractable; they are
-also returned, and generate the whole automorphism group.
+`canonical_search` is McKay's partition backtrack ("Practical graph
+isomorphism", 1981).  A node of the search tree is an ordered partition
+of the vertices made equitable: the vertices of a cell have equally
+many neighbours in each cell.  A child individualizes one vertex v of
+the node's first non-singleton cell, as a cell (v,) just before the
+rest of that cell, and refines again.  Leaves are discrete partitions,
+i.e. vertex orders; a leaf's code is its adjacency rows in that order,
+and the first leaf with the least code is canonical.
+
+Refinement counts only against fresh cells.  A round splits each cell
+by its vertices' counts against the cells that are new since the last
+round, and orders the pieces by those counts; right after an
+individualization only (v,) is fresh.  Splits and order come out as if
+every round counted against every cell: counts against an unchanged
+cell are already constant on each cell, and counts against the last
+piece of a split follow from its siblings' counts.
+
+Two leaves with the same code differ by an automorphism.  Automorphisms
+found so far prune twice: a child is skipped when one that fixes the
+node's individualized vertices maps it onto a child already tried; and
+a leaf with the best code sends the search straight back to the node
+where its path leaves the best leaf's path, on to that node's next
+child.  Either way the skipped subtree is the image of one already
+searched, so the first least leaf is always reached and forms and
+positions do not depend on the pruning.  `canonical_search` shows why
+the automorphisms found still generate the whole group.
 
 Everything here is capped at 64 vertices: bitset rows stay machine-sized
 and the desk-scale contracts never need more.
@@ -45,29 +64,40 @@ def _check_cap(g: Graph) -> None:
             "larger hosts are supported for counting only")
 
 
-def _equitable(bits: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Refine an ordered partition until counting against every cell is stable."""
-    while True:
-        masks = [sum(1 << v for v in c) for c in cells]
+def _equitable(bits: tuple[int, ...], cells: list[tuple[int, ...]],
+               fresh: list[int]) -> list[tuple[int, ...]]:
+    """Refine an ordered partition until counting against every cell is
+    stable.
+
+    Each round splits every cell by its vertices' counts against the
+    `fresh` cells (as bitmasks, in partition order) and orders the pieces
+    by those counts.  Counts against every other cell must already be
+    constant on each cell, so they could neither split a cell nor order
+    its pieces.  The pieces of a split are fresh in the next round, all
+    but the last: counts against the last piece are the old cell's
+    constant count minus its siblings', so they are tied whenever the
+    siblings' counts are.
+    """
+    while fresh:
         new: list[tuple[int, ...]] = []
-        changed = False
+        masks: list[int] = []
         for cell in cells:
-            if len(cell) == 1:
-                new.append(cell)
-                continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                key = tuple((bits[v] & m).bit_count() for m in masks)
-                groups.setdefault(key, []).append(v)
-            if len(groups) == 1:
-                new.append(cell)
-            else:
-                changed = True
-                for key in sorted(groups):
-                    new.append(tuple(groups[key]))
+            if len(cell) > 1:
+                groups: dict[tuple[int, ...], list[int]] = {}
+                for v in cell:
+                    key = tuple([(bits[v] & m).bit_count() for m in fresh])
+                    groups.setdefault(key, []).append(v)
+                if len(groups) > 1:
+                    keys = sorted(groups)
+                    for key in keys:
+                        new.append(tuple(groups[key]))
+                    for key in keys[:-1]:
+                        masks.append(sum(1 << v for v in groups[key]))
+                    continue
+            new.append(cell)
         cells = new
-        if not changed:
-            return cells
+        fresh = masks
+    return cells
 
 
 class _CanonSearch:
@@ -77,6 +107,7 @@ class _CanonSearch:
         self.adj = g.adj
         self.best_code: tuple[int, ...] | None = None
         self.best_order: list[int] | None = None
+        self.best_path: list[int] = []
         self.generators: list[tuple[int, ...]] = []
 
     def run(self) -> None:
@@ -84,18 +115,21 @@ class _CanonSearch:
             self.best_code = ()
             self.best_order = []
             return
-        self._descend([tuple(range(self.n))], [])
+        self._descend([tuple(range(self.n))], [(1 << self.n) - 1], [])
 
-    def _descend(self, cells: list[tuple[int, ...]], fixed: list[int]) -> None:
-        cells = _equitable(self.bits, cells)
+    def _descend(self, cells: list[tuple[int, ...]], fresh: list[int],
+                 fixed: list[int]) -> int:
+        """Search below the node that individualized `fixed`; return the
+        depth at which the search resumes."""
+        cells = _equitable(self.bits, cells, fresh)
+        depth = len(fixed)
         target = -1
         for i, cell in enumerate(cells):
             if len(cell) > 1:
                 target = i
                 break
         if target < 0:
-            self._leaf([c[0] for c in cells])
-            return
+            return self._leaf([c[0] for c in cells], fixed)
         cell = cells[target]
         prefix = cells[:target]
         suffix = cells[target + 1:]
@@ -113,7 +147,11 @@ class _CanonSearch:
                     continue
             tried.append(v)
             rest = tuple(w for w in cell if w != v)
-            self._descend(prefix + [(v,)] + [rest] + suffix, fixed + [v])
+            back = self._descend(prefix + [(v,), rest] + suffix, [1 << v],
+                                 fixed + [v])
+            if back < depth:
+                return back
+        return depth
 
     def _stabilizer_orbits(self, fixed: list[int]) -> list[int] | None:
         """Orbit roots under the known automorphisms that fix `fixed`
@@ -121,7 +159,7 @@ class _CanonSearch:
         useful = [p for p in self.generators if all(p[f] == f for f in fixed)]
         return orbit_roots(self.n, useful) if useful else None
 
-    def _leaf(self, order: list[int]) -> None:
+    def _leaf(self, order: list[int], fixed: list[int]) -> int:
         n = self.n
         pos = [0] * n
         for i, v in enumerate(order):
@@ -137,12 +175,19 @@ class _CanonSearch:
         if self.best_code is None or code < self.best_code:
             self.best_code = code
             self.best_order = order
+            self.best_path = fixed
         elif code == self.best_code:
             assert self.best_order is not None
             perm = [0] * n
             for i in range(n):
                 perm[self.best_order[i]] = order[i]
             self.generators.append(tuple(perm))
+            # resume where this path leaves the best leaf's path
+            split = 0
+            while fixed[split] == self.best_path[split]:
+                split += 1
+            return split
+        return len(fixed)
 
 
 def orbit_roots(size: int, perms: Sequence[Sequence[int]]) -> list[int]:
@@ -173,9 +218,23 @@ def canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...],
     automorphisms of g (as vertex maps) that generate its whole
     automorphism group.
 
-    Every leaf with the least code is an automorphic image of the first
-    one found, and the search visits each such leaf or an image of it
-    under automorphisms already found, so the generators are complete.
+    Why the generators are complete.  Let b_0, ..., b_{m-1} be the
+    vertices the canonical leaf's path individualizes, node k the node
+    after the first k of them, A_k the automorphisms fixing b_0..b_{k-1}
+    and G_k the group that the returned generators fixing b_0..b_{k-1}
+    generate.  A_m is trivial, since node m is a discrete partition.
+    Take w in the A_k-orbit of b_k.  Child w of node k holds an image of
+    the canonical leaf, so it comes after child b_k, when the best leaf
+    is final.  If child w is skipped, it is in the G_k-orbit of a child
+    tried before it.  If it is searched, the search meets a leaf with the
+    best code (at every node the first child whose subtree holds one is
+    never skipped), which gives a generator in G_k taking b_k to w; that
+    leaf jumps back to node k, not above it, so the later children of
+    node k are still tried.  By induction over the children, the A_k-
+    and G_k-orbits of b_k agree, so A_k lies in G_k A_{k+1}, and from
+    A_m up, A_0 = Aut(g) is generated.  Nothing here depends on the root
+    partition being the unit partition.
+
     Refinement orders cells by degree first, so the vertex at the last
     canonical position has maximum degree.
     """

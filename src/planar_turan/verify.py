@@ -24,8 +24,8 @@ from .graph import (Graph, build_graph, cycle_graph, empty_graph,
                     path_with_edges, star_graph)
 from .params import beta, degeneracy, min_edge_degree_sum, tree_partition
 from .planarity import is_planar
-from .search import (SearchBudget, SearchIncomplete, enumerate_constrained,
-                     extremal_number)
+from .search import (SearchBudget, SearchIncomplete, _deadline,
+                     enumerate_constrained, extremal_number)
 
 GROWTH_TOLERANCE = 0.15
 # (family, params, n sweep, expected log-log slope)
@@ -119,6 +119,10 @@ class _Rows(list):
         row["runtime_s"] = round(now - self._mark, 4)
         self._mark = now
         super().append(row)
+
+
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() >= deadline
 
 
 def _status(details, incomplete: bool = False) -> str:
@@ -219,8 +223,13 @@ def _claim_tree_partition_forest(budget: SearchBudget) -> tuple[str, list[dict]]
     """The induced path forest of the degree partition preserves beta."""
     rng = random.Random(TREE_PARTITION_SEED)
     details = _Rows()
+    deadline = _deadline(budget)
     failures = 0
+    checked = 0
     for i in range(500):
+        if _past(deadline):
+            break
+        checked += 1
         n = rng.randint(2, 16)
         t = random_tree(rng, n)
         for ell in (1, 2, 3):
@@ -231,10 +240,10 @@ def _claim_tree_partition_forest(budget: SearchBudget) -> tuple[str, list[dict]]
                 failures += 1
                 details.append({"instance": f"tree #{i} n={n} ell={ell}",
                                 "expected": rhs, "got": lhs, "ok": False})
-    details.append({"instance": "500 random trees x ell in {1,2,3}",
+    details.append({"instance": f"{checked} random trees x ell in {{1,2,3}}",
                     "expected": "0 mismatches", "got": f"{failures} mismatches",
                     "ok": failures == 0})
-    return _status(details), details
+    return _status(details, checked < 500), details
 
 
 def _claim_copy_count_oracle(budget: SearchBudget) -> tuple[str, list[dict]]:
@@ -265,7 +274,10 @@ def _claim_growth_exponents(budget: SearchBudget) -> tuple[str, list[dict]]:
     """Log-log slopes of the construction counts against the predicted
     polynomial degrees."""
     details = _Rows()
+    deadline = _deadline(budget)
     for family, params, sweep, target in GROWTH_SWEEPS:
+        if _past(deadline):
+            return _status(details, True), details
         probe = growth_probe(ConstructionSpec(family, params), list(sweep))
         ok = abs(probe.slope - target) <= GROWTH_TOLERANCE
         details.append({

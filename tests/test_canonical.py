@@ -5,8 +5,10 @@ at 6 vertices or fewer; the fast path is additionally exercised on
 larger random graphs through relabel invariance.
 """
 
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -24,11 +26,15 @@ from planar_turan.graph import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     empty_graph,
     path_with_edges,
     star_graph,
 )
+from planar_turan.graph6 import from_graph6, to_graph6
 from planar_turan.search import enumerate_constrained
+
+FORM_CORPUS = Path(__file__).parent / "data" / "canonical_forms.json"
 
 
 def _all_labeled_graphs(n):
@@ -132,9 +138,11 @@ def test_vertex_cap():
         canonical_form(empty_graph(65))
 
 
-def _group_order(n, generators):
-    """Order of the permutation group the generators span, by closure."""
-    identity = tuple(range(n))
+def _group_order(g, generators):
+    """Order of the permutation group the generators span, by closure,
+    after checking that each generator is an automorphism of g."""
+    assert all(g.relabel(p) == g for p in generators)
+    identity = tuple(range(g.n))
     seen = {identity}
     todo = [identity]
     while todo:
@@ -148,15 +156,71 @@ def _group_order(n, generators):
 
 
 def test_search_generators_span_the_automorphism_group():
-    # search relies on this for both orbit pruning and its parent test
+    # search relies on this for both orbit pruning and its parent test.
+    # The relabellings come from the pinned corpus, so they do not depend
+    # on the enumeration, which itself runs on canonical_search.
+    relabelled = [from_graph6(row[0]) for row in
+                  json.loads(FORM_CORPUS.read_text())[:1252]]
+    for h in relabelled:
+        _, _, generators = canonical_search(h)
+        assert _group_order(h, generators) == automorphism_count(h), \
+            to_graph6(h)
     classes = [g for n in range(1, 8)
                for g in enumerate_constrained(n, require_planar=False)]
     assert len(classes) == 1252
     for g in classes:
         _, _, generators = canonical_search(g)
-        order = _group_order(g.n, generators)
+        order = _group_order(g, generators)
         assert order == automorphism_count(g) == automorphism_count_brute(g), \
             canonical_form(g)
+
+
+def _petersen():
+    return build_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                       + [(i, i + 5) for i in range(5)]
+                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def _cube():
+    return build_graph(8, [(v, v ^ 1 << b) for v in range(8) for b in range(3)
+                           if v < v ^ 1 << b])
+
+
+NAMED_HOSTS = {
+    "Petersen": (_petersen, 120),
+    "Q3": (_cube, 48),
+    "4K2": (lambda: disjoint_union([complete_graph(2)] * 4), 384),
+    "K4,4": (lambda: complete_bipartite(4, 4), 1152),
+    "K2,6": (lambda: complete_bipartite(2, 6), 1440),
+    "C9": (lambda: cycle_graph(9), 18),
+    "empty8": (lambda: empty_graph(8), 40320),
+    "K8": (lambda: complete_graph(8), 40320),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_HOSTS))
+def test_search_generators_of_named_hosts(name):
+    build, order = NAMED_HOSTS[name]
+    g = build()
+    perm = list(range(g.n))
+    random.Random(len(name)).shuffle(perm)
+    for h in (g, g.relabel(perm)):
+        _, _, generators = canonical_search(h)
+        assert _group_order(h, generators) == order
+
+
+def test_canonical_forms_match_pinned_corpus():
+    """Each row holds a relabelling (graph6, random.Random(8101) shuffles
+    in class order) of one class: all 1 252 classes with n <= 7, then
+    the 351 planar C4-free classes on 8 vertices.  Beside it are the
+    canonical graph6 and the position map canonical_search gave when the
+    corpus was written.  Any change to cell order or to which leaf wins
+    fails here instead of silently changing search witnesses."""
+    corpus = json.loads(FORM_CORPUS.read_text())
+    assert len(corpus) == 1252 + 351
+    for text, canon, pos in corpus:
+        form, got, _ = canonical_search(from_graph6(text))
+        assert (to_graph6(form.as_graph()), list(got)) == (canon, pos), text
 
 
 def test_last_canonical_position_has_maximum_degree():

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -19,6 +20,8 @@ from planar_turan.graph import (
     cycle_graph,
     path_with_edges,
 )
+from planar_turan.search import SearchBudget
+from planar_turan.verify import run_claim
 
 
 def _run_json(capsys, argv):
@@ -177,6 +180,20 @@ def test_verify_enumeration_claims_honour_the_time_limit(capsys, claim):
     assert code == EXIT_INCOMPLETE
     assert payload["status"] == "incomplete"
     assert payload["runtime_s"] < 0.5
+
+
+@pytest.mark.parametrize("claim", ["growth-exponents", "tree-partition-forest"])
+def test_verify_claims_that_never_search_honour_the_time_limit(capsys, claim):
+    # checked between rows; the full claims take seconds
+    start = time.monotonic()
+    report = run_claim(claim, SearchBudget(time_limit=0.01))
+    assert time.monotonic() - start < 1
+    assert report.status == "incomplete"
+    assert report.details
+    code, payload = _run_json(capsys, ["verify", "--claim", claim,
+                                       "--budget-seconds", "0.01"])
+    assert code == EXIT_INCOMPLETE
+    assert payload["status"] == "incomplete"
 
 
 def test_verify_unknown_claim(capsys):
