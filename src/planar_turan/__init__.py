@@ -8,8 +8,8 @@ verification sweeps (`verify`).  `bruteforce` holds deliberately naive
 reference implementations used to cross-check the fast paths.
 """
 
-from .canonical import (CanonicalForm, are_isomorphic, automorphism_count,
-                        canonical_form, canonical_labeling)
+from .canonical import (CanonicalForm, automorphism_count, canonical_form,
+                        canonical_labeling)
 from .constructions import (CertificationError, Certification,
                             ConstructionError, ConstructionOutput,
                             ConstructionSpec, GrowthProbe,
@@ -42,7 +42,7 @@ __all__ = [
     "EmpiricalBound", "EMPTY_FAMILY", "ExtremalRecord", "ForbiddenFamily",
     "Graph", "GrowthProbe", "Pattern", "PlanarityVerdict", "SearchBudget",
     "SearchIncomplete", "TreePartition", "VerificationReport",
-    "are_isomorphic", "automorphism_count", "beta", "blowup_independent_set",
+    "automorphism_count", "beta", "blowup_independent_set",
     "build_construction", "build_graph", "canonical_form",
     "canonical_labeling", "ck_c4free_parallel", "complete_bipartite",
     "complete_graph", "conjecture_family", "connected_components",

@@ -27,6 +27,10 @@ searched, so the first least leaf is always reached and forms and
 positions do not depend on the pruning.  `canonical_search` shows why
 the automorphisms found still generate the whole group.
 
+Automorphism counting needs no second search: `automorphism_count`
+multiplies the orbit sizes of those generators' stabilizer chain along
+the canonical leaf's path.
+
 Everything here is capped at 64 vertices: bitset rows stay machine-sized
 and the desk-scale contracts never need more.
 """
@@ -264,49 +268,23 @@ def canonical_labeling(g: Graph) -> tuple[CanonicalForm, tuple[int, ...]]:
     return form, pos
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    return canonical_form(g) == canonical_form(h)
-
-
 def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group, by backtracking over images.
+    """Order of the automorphism group, read off one canonical search.
 
-    Candidate images are filtered by degree and by bitset-consistency
-    with the already-placed neighborhood, so asymmetric graphs finish in
-    near-linear time while K_n still costs about e * n! nodes.
+    With b_0, ..., b_{m-1} the canonical leaf's path, it is the product
+    over k of the orbit size of b_k under the returned generators that
+    fix b_0..b_{k-1}.  The `canonical_search` docstring shows that these
+    generators generate A_k, the automorphisms fixing b_0..b_{k-1}, and
+    that A_m is trivial; orbit-stabilizer gives |A_k| = |A_k-orbit of
+    b_k| * |A_{k+1}|.
     """
     _check_cap(g)
-    n = g.n
-    if n <= 1:
-        return 1
-    bits = g.bits
-    degs = [len(a) for a in g.adj]
-    order = sorted(range(n), key=lambda v: (-degs[v], v))
-    mapping = [-1] * n
-
-    def rec(i: int, placed_img: int) -> int:
-        if i == n:
-            return 1
-        v = order[i]
-        needed = 0
-        for u in g.adj[v]:
-            mu = mapping[u]
-            if mu >= 0:
-                needed |= 1 << mu
-        dv = degs[v]
-        total = 0
-        for w in range(n):
-            if placed_img >> w & 1:
-                continue
-            if degs[w] != dv or bits[w] & placed_img != needed:
-                continue
-            mapping[v] = w
-            total += rec(i + 1, placed_img | 1 << w)
-            mapping[v] = -1
-        return total
-
-    return rec(0, 0)
+    search = _CanonSearch(g)
+    search.run()
+    path = search.best_path
+    order = 1
+    for k, b in enumerate(path):
+        root = search._stabilizer_orbits(path[:k])
+        if root is not None:
+            order *= root.count(root[b])
+    return order

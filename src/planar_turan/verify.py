@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 from .bruteforce import count_copies_brute, is_planar_by_subdivision
-from .canonical import automorphism_count
 from .constructions import (CertificationError, ConstructionError,
                             ConstructionSpec, build_construction,
                             growth_probe, pentagon_extremal)
@@ -251,23 +250,29 @@ def _claim_copy_count_oracle(budget: SearchBudget) -> tuple[str, list[dict]]:
     brute force on random pattern/host pairs."""
     rng = random.Random(COPY_ORACLE_SEED)
     details = _Rows()
+    deadline = _deadline(budget)
     failures = 0
+    checked = 0
     for i in range(1000):
+        if _past(deadline):
+            break
+        checked += 1
         h = _random_graph(rng, rng.randint(1, 5), rng.uniform(0.2, 0.9))
         g = _random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.7))
-        copies = count_copies(h, g)
+        pattern = Pattern.from_graph(h)
+        copies = count_copies(pattern, g)
         homs = count_injective_homs(h, g)
-        aut = automorphism_count(h)
+        aut = pattern.automorphisms
         brute = count_copies_brute(h, g)
         if copies * aut != homs or copies != brute:
             failures += 1
             details.append({"instance": f"pair #{i}",
                             "expected": f"copies*{aut}=={homs} and =={brute}",
                             "got": copies, "ok": False})
-    details.append({"instance": "1000 random (h, g) pairs",
+    details.append({"instance": f"{checked} random (h, g) pairs",
                     "expected": "0 mismatches", "got": f"{failures} mismatches",
                     "ok": failures == 0})
-    return _status(details), details
+    return _status(details, checked < 1000), details
 
 
 def _claim_growth_exponents(budget: SearchBudget) -> tuple[str, list[dict]]:
@@ -321,7 +326,10 @@ def _claim_certification_matrix(budget: SearchBudget) -> tuple[str, list[dict]]:
     """Every construction instance in the matrix certifies planarity,
     family-freeness, and its declared count."""
     details = _Rows()
+    deadline = _deadline(budget)
     for family, params, n in CERTIFICATION_MATRIX:
+        if _past(deadline):
+            return _status(details, True), details
         name = _label(family, params, n)
         try:
             out = build_construction(ConstructionSpec(family, params), n=n)

@@ -182,7 +182,8 @@ def test_verify_enumeration_claims_honour_the_time_limit(capsys, claim):
     assert payload["runtime_s"] < 0.5
 
 
-@pytest.mark.parametrize("claim", ["growth-exponents", "tree-partition-forest"])
+@pytest.mark.parametrize("claim", ["growth-exponents", "tree-partition-forest",
+                                   "copy-count-oracle", "certification-matrix"])
 def test_verify_claims_that_never_search_honour_the_time_limit(capsys, claim):
     # checked between rows; the full claims take seconds
     start = time.monotonic()
