@@ -257,6 +257,18 @@ def canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...],
     return form, tuple(pos), tuple(search.generators)
 
 
+def last_root_cell(g: Graph) -> tuple[int, ...]:
+    """The last cell of the equitable refinement of the unit partition,
+    the root node of `canonical_search`.
+
+    Every leaf refines the root partition in place, so the vertex at the
+    last canonical position lies in this cell; refinement commutes with
+    relabelling, so every Aut(g) orbit lies inside one root cell.
+    """
+    _check_cap(g)
+    return _equitable(g.bits, [tuple(range(g.n))], [(1 << g.n) - 1])[-1]
+
+
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form; equal for two graphs iff they are isomorphic."""
     return canonical_search(g)[0]

@@ -10,6 +10,14 @@ of the child gives back this parent and this mask orbit.  Each
 isomorphism class then appears exactly once globally, with no
 deduplication table within a parent or across a level.
 
+That vertex, and with it its Aut(child) orbit, lies in the last cell
+of the child's root equitable partition (`last_root_cell`), so a child is
+rejected when the new vertex is outside that cell and accepted with no
+canonical search when the cell is the new vertex alone; only the rest
+get a full `canonical_search`.  Children are kept as built, so the
+enumeration yields each class exactly once in a deterministic order,
+but not in canonical labelling and not sorted per parent.
+
 Planarity and forbidden cycles are hereditary under vertex deletion, so
 pruning during augmentation is sound, and each test runs at the cheapest
 point: forbidden cycles through the new vertex, the planar edge bound
@@ -31,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .canonical import (CanonicalForm, canonical_form, canonical_search,
-                        orbit_roots)
+                        last_root_cell, orbit_roots)
 from .counting import Pattern, count_copies
 from .cycles import (EMPTY_FAMILY, ForbiddenFamily, closing_partners,
                      is_family_free)
@@ -88,14 +96,17 @@ def _on_masks(perm: tuple[int, ...]) -> list[int]:
 
 def _accepted_children(parent: Graph, family: ForbiddenFamily,
                        require_planar: bool) -> list[Graph]:
-    """Canonical representatives, sorted, of the constrained one-vertex
-    extensions of `parent` whose canonical parent it is, each class once.
+    """The constrained one-vertex extensions of `parent` whose canonical
+    parent it is, each class once, as built: the parent's labels plus
+    the new vertex n, in mask order.
 
     Cheapest test first: attachment masks that close a forbidden cycle,
     break the planar edge bound or leave the new vertex short of maximum
     degree are dropped before any child is built; one mask per
-    Aut(parent) orbit survives; each child then gets one canonical
-    search, and planarity runs only on accepted children.
+    Aut(parent) orbit survives.  The parent test is settled by the
+    child's last root cell when it can be (n outside it: reject; the
+    cell is (n,): accept), and otherwise by one canonical search.
+    Planarity runs only on accepted children.
     """
     n = parent.n
     partners = closing_partners(parent, family)
@@ -121,26 +132,30 @@ def _accepted_children(parent: Graph, family: ForbiddenFamily,
         if generators:
             root = orbit_roots(1 << n, [_on_masks(p) for p in generators])
             masks = [m for m in masks if root[m] == m]
-    accepted: list[CanonicalForm] = []
+    accepted: list[Graph] = []
     for mask in masks:
         child = parent.with_vertex([i for i in range(n) if mask >> i & 1])
         if family.extra_patterns and not is_family_free(child, family):
             continue
         # McKay's criterion: the new vertex n must lie in the Aut(child)
-        # orbit of the vertex at the last canonical position.
-        form, pos, generators = canonical_search(child)
-        last = pos.index(n)
-        if last != n:
-            if not generators:
-                continue
-            root = orbit_roots(n + 1, generators)
-            if root[last] != root[n]:
-                continue
+        # orbit of the vertex at the last canonical position.  That vertex
+        # and its orbit lie in the last root cell, which often decides.
+        cell = last_root_cell(child)
+        if n not in cell:
+            continue
+        if len(cell) > 1:
+            _, pos, generators = canonical_search(child)
+            last = pos.index(n)
+            if last != n:
+                if not generators:
+                    continue
+                root = orbit_roots(n + 1, generators)
+                if root[last] != root[n]:
+                    continue
         if require_planar and not is_planar(child).is_planar:
             continue
-        accepted.append(form)
-    accepted.sort()
-    return [f.as_graph() for f in accepted]
+        accepted.append(child)
+    return accepted
 
 
 def _check_n(n: int, budget: SearchBudget) -> None:

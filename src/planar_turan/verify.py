@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bruteforce import count_copies_brute, is_planar_by_subdivision
 from .constructions import (CertificationError, ConstructionError,
@@ -124,6 +124,15 @@ def _past(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
+def _left(budget: SearchBudget, deadline: float | None) -> SearchBudget | None:
+    """`budget` with only the time left before `deadline`, or None once
+    it has passed, so the searches of one claim share its time limit."""
+    if deadline is None:
+        return budget
+    left = deadline - time.monotonic()
+    return replace(budget, time_limit=left) if left > 0 else None
+
+
 def _status(details, incomplete: bool = False) -> str:
     if incomplete:
         return "incomplete"
@@ -149,14 +158,19 @@ def _claim_c5_c4free_exact(budget: SearchBudget) -> tuple[str, list[dict]]:
     """Exhaustive small-n values of the pentagon maximum among planar
     C4-free graphs, plus exact construction counts on a (t, s) grid.
     The n = 9 row runs only when the budget allows 9 vertices; its value
-    is the n - 4 count of the certified constructions."""
+    is the n - 4 count of the certified constructions.  The searches
+    share the claim's time limit, and the grid checks it between rows."""
     details = _Rows()
+    deadline = _deadline(budget)
     incomplete = False
     expected = {4: 0, 5: 1, 6: 1, 7: 3, 8: 4, 9: 5}
     pat = Pattern.from_graph(cycle_graph(5), "C5")
     fam = ForbiddenFamily(frozenset({4}))
     for n in range(4, min(budget.max_vertices, 9) + 1):
-        rec = extremal_number(n, pat, fam, budget)
+        own = _left(budget, deadline)
+        if own is None:
+            return _status(details, True), details
+        rec = extremal_number(n, pat, fam, own)
         if rec.status != "complete":
             incomplete = True
         details.append({
@@ -165,6 +179,8 @@ def _claim_c5_c4free_exact(budget: SearchBudget) -> tuple[str, list[dict]]:
             "ok": rec.status == "complete" and rec.max_count == expected[n]})
     for t in range(11):
         for s in range(11):
+            if _past(deadline):
+                return _status(details, True), details
             try:
                 out = pentagon_extremal(t, s)
                 n = out.graph.n
@@ -181,15 +197,20 @@ def _claim_planar_cycle_maxima(budget: SearchBudget) -> tuple[str, list[dict]]:
     """Exhaustive planar maxima of the C3, C4 and C5 counts, with no
     forbidden family, against published closed forms; sizes above the
     budget's vertex cap are skipped.  The number of classes scanned must
-    equal the number of planar graphs on n vertices."""
+    equal the number of planar graphs on n vertices.  The searches share
+    the claim's time limit."""
     details = _Rows()
+    deadline = _deadline(budget)
     incomplete = False
     for k, formula, closed, sizes in PLANAR_CYCLE_MAXIMA:
         pat = Pattern.from_graph(cycle_graph(k), f"C{k}")
         for n in sizes:
             if n > budget.max_vertices:
                 continue
-            rec = extremal_number(n, pat, EMPTY_FAMILY, budget)
+            own = _left(budget, deadline)
+            if own is None:
+                return _status(details, True), details
+            rec = extremal_number(n, pat, EMPTY_FAMILY, own)
             if rec.status != "complete":
                 incomplete = True
             want = closed(n)

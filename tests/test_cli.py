@@ -197,6 +197,23 @@ def test_verify_claims_that_never_search_honour_the_time_limit(capsys, claim):
     assert payload["status"] == "incomplete"
 
 
+@pytest.mark.parametrize("claim, rows", [("c5-c4free-exact", 126),
+                                         ("planar-cycle-maxima", 5)])
+def test_verify_search_claims_share_one_deadline(capsys, claim, rows):
+    # each search gets only the time left, and the pentagon grid checks
+    # the limit between rows; the full claims take about a second
+    start = time.monotonic()
+    report = run_claim(claim, SearchBudget(max_vertices=8, time_limit=0.05))
+    assert time.monotonic() - start < 0.5
+    assert report.status == "incomplete"
+    assert len(report.details) < rows
+    code, payload = _run_json(capsys, ["verify", "--claim", claim,
+                                       "--max-vertices", "8",
+                                       "--budget-seconds", "0.01"])
+    assert code == EXIT_INCOMPLETE
+    assert payload["status"] == "incomplete"
+
+
 def test_verify_unknown_claim(capsys):
     assert main(["verify", "--claim", "no-such-claim"]) == EXIT_USAGE
     capsys.readouterr()

@@ -16,12 +16,13 @@ import pytest
 from planar_turan import search
 from planar_turan.bruteforce import (count_copies_brute, count_cycles_brute,
                                      is_planar_by_subdivision)
-from planar_turan.canonical import canonical_form
+from planar_turan.canonical import (canonical_form, canonical_search,
+                                    last_root_cell, orbit_roots)
 from planar_turan.counting import Pattern
 from planar_turan.cycles import EMPTY_FAMILY, ForbiddenFamily
 from planar_turan.graph import (build_graph, cycle_graph, is_connected,
                                 path_with_edges)
-from planar_turan.graph6 import from_graph6
+from planar_turan.graph6 import from_graph6, to_graph6
 from planar_turan.planarity import is_planar
 from planar_turan.search import (
     SearchBudget,
@@ -77,6 +78,47 @@ def test_enumeration_planar_c4_free_counts():
     got = {n: sum(1 for _ in enumerate_constrained(n, C4_FREE))
            for n in range(4, 9)}
     assert got == {4: 8, 5: 18, 6: 44, 7: 117, 8: 351}
+
+
+def _last_orbit(child):
+    """The Aut(child) orbit of the vertex at the last canonical position,
+    by the full search; McKay's parent test asks that the new vertex be
+    in it."""
+    _, pos, generators = canonical_search(child)
+    root = orbit_roots(child.n, generators)
+    last = root[pos.index(child.n - 1)]
+    return {v for v in range(child.n) if root[v] == last}
+
+
+def test_last_root_cell_decides_the_parent_test_like_the_full_search():
+    # search settles the parent test from the last root cell when the new
+    # vertex k is outside it (reject) or alone in it (accept), and keeps
+    # only children that pass it
+    decided = {True: 0, False: 0}
+    for k in range(1, 7):
+        for parent in enumerate_constrained(k, require_planar=False):
+            for mask in range(1 << k):
+                child = parent.with_vertex([i for i in range(k) if mask >> i & 1])
+                orbit = _last_orbit(child)
+                cell = last_root_cell(child)
+                assert orbit <= set(cell)
+                if k not in cell or cell == (k,):
+                    assert (k in cell) == (k in orbit), (to_graph6(child), cell)
+                    decided[k in orbit] += 1
+            for child in search._accepted_children(parent, EMPTY_FAMILY, False):
+                assert k in _last_orbit(child), to_graph6(child)
+    assert decided[True] and decided[False]
+
+
+@pytest.mark.parametrize("n, family, planar, classes", [
+    (7, EMPTY_FAMILY, False, 1044),
+    (7, EMPTY_FAMILY, True, 822),
+    (8, C4_FREE, True, 351),
+])
+def test_enumeration_yields_each_class_once(n, family, planar, classes):
+    forms = [canonical_form(g)
+             for g in enumerate_constrained(n, family, require_planar=planar)]
+    assert len(set(forms)) == len(forms) == classes
 
 
 def test_enumeration_connected_filter():
