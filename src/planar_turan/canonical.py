@@ -27,6 +27,12 @@ searched, so the first least leaf is always reached and forms and
 positions do not depend on the pruning.  `canonical_search` shows why
 the automorphisms found still generate the whole group.
 
+The root node, the equitable refinement of the unit partition, is
+public as `root_partition`, computed from bit rows alone, so a caller
+can judge a graph by its root cells before building it;
+`canonical_search` then takes that partition as its start node instead
+of refining again.
+
 Automorphism counting needs no second search: `automorphism_count`
 multiplies the orbit sizes of those generators' stabilizer chain along
 the canonical leaf's path.
@@ -61,13 +67,6 @@ class CanonicalForm:
         return build_graph(self.vertex_count, self.edge_list)
 
 
-def _check_cap(g: Graph) -> None:
-    if g.n > _ISO_CAP:
-        raise ValueError(
-            f"iso tooling is capped at {_ISO_CAP} vertices (got {g.n}); "
-            "larger hosts are supported for counting only")
-
-
 def _equitable(bits: tuple[int, ...], cells: list[tuple[int, ...]],
                fresh: list[int]) -> list[tuple[int, ...]]:
     """Refine an ordered partition until counting against every cell is
@@ -81,22 +80,39 @@ def _equitable(bits: tuple[int, ...], cells: list[tuple[int, ...]],
     but the last: counts against the last piece are the old cell's
     constant count minus its siblings', so they are tied whenever the
     siblings' counts are.
+
+    A vertex's counts are packed into one int, 7 bits per fresh cell in
+    partition order; a count is at most 64, so the ints order exactly as
+    the count tuples would.  With one fresh cell the key is its count.
     """
     while fresh:
         new: list[tuple[int, ...]] = []
         masks: list[int] = []
+        one = fresh[0] if len(fresh) == 1 else 0  # the only fresh mask, else 0
         for cell in cells:
             if len(cell) > 1:
-                groups: dict[tuple[int, ...], list[int]] = {}
+                groups: dict[int, list[int]] = {}
                 for v in cell:
-                    key = tuple([(bits[v] & m).bit_count() for m in fresh])
-                    groups.setdefault(key, []).append(v)
+                    row = bits[v]
+                    if one:
+                        key = (row & one).bit_count()
+                    else:
+                        key = 0
+                        for m in fresh:
+                            key = key << 7 | (row & m).bit_count()
+                    if key in groups:
+                        groups[key].append(v)
+                    else:
+                        groups[key] = [v]
                 if len(groups) > 1:
-                    keys = sorted(groups)
-                    for key in keys:
-                        new.append(tuple(groups[key]))
-                    for key in keys[:-1]:
-                        masks.append(sum(1 << v for v in groups[key]))
+                    for key in sorted(groups):
+                        piece = groups[key]
+                        new.append(tuple(piece))
+                        mask = 0
+                        for v in piece:
+                            mask |= 1 << v
+                        masks.append(mask)
+                    masks.pop()  # the last piece is not fresh
                     continue
             new.append(cell)
         cells = new
@@ -114,12 +130,13 @@ class _CanonSearch:
         self.best_path: list[int] = []
         self.generators: list[tuple[int, ...]] = []
 
-    def run(self) -> None:
+    def run(self, root: list[tuple[int, ...]]) -> None:
+        """Search from `root`, the root partition."""
         if self.n == 0:
             self.best_code = ()
             self.best_order = []
             return
-        self._descend([tuple(range(self.n))], [(1 << self.n) - 1], [])
+        self._descend(root, [], [])
 
     def _descend(self, cells: list[tuple[int, ...]], fresh: list[int],
                  fixed: list[int]) -> int:
@@ -216,11 +233,34 @@ def orbit_roots(size: int, perms: Sequence[Sequence[int]]) -> list[int]:
     return [find(a) for a in range(size)]
 
 
-def canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...],
-                                        tuple[tuple[int, ...], ...]]:
+def root_partition(bits: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The equitable refinement of the unit partition of the graph whose
+    adjacency bit rows are `bits`: the root node of `canonical_search`.
+
+    Every leaf refines the root partition in place, so the vertex at the
+    last canonical position lies in its last cell; refinement commutes
+    with relabelling, so every automorphism orbit lies inside one root
+    cell.  Each cell lists its vertices in increasing order.
+    """
+    n = len(bits)
+    if n > _ISO_CAP:
+        raise ValueError(
+            f"iso tooling is capped at {_ISO_CAP} vertices (got {n}); "
+            "larger hosts are supported for counting only")
+    return _equitable(bits, [tuple(range(n))], [(1 << n) - 1])
+
+
+def canonical_search(g: Graph, root: list[tuple[int, ...]] | None = None
+                     ) -> tuple[CanonicalForm, tuple[int, ...],
+                                tuple[tuple[int, ...], ...]]:
     """Canonical form, the map original-vertex -> canonical position, and
     automorphisms of g (as vertex maps) that generate its whole
     automorphism group.
+
+    `root`, when given, must be `root_partition(g.bits)`: the search
+    starts from that node instead of refining the unit partition again.
+    It is the node the search would start from anyway, so the form, the
+    positions and the generators are the same either way.
 
     Why the generators are complete.  Let b_0, ..., b_{m-1} be the
     vertices the canonical leaf's path individualizes, node k the node
@@ -242,9 +282,8 @@ def canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...],
     Refinement orders cells by degree first, so the vertex at the last
     canonical position has maximum degree.
     """
-    _check_cap(g)
     search = _CanonSearch(g)
-    search.run()
+    search.run(root_partition(g.bits) if root is None else root)
     order = search.best_order
     assert order is not None
     pos = [0] * g.n
@@ -255,18 +294,6 @@ def canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...],
         for u, v in g.edges))
     form = CanonicalForm(g.n, edges)
     return form, tuple(pos), tuple(search.generators)
-
-
-def last_root_cell(g: Graph) -> tuple[int, ...]:
-    """The last cell of the equitable refinement of the unit partition,
-    the root node of `canonical_search`.
-
-    Every leaf refines the root partition in place, so the vertex at the
-    last canonical position lies in this cell; refinement commutes with
-    relabelling, so every Aut(g) orbit lies inside one root cell.
-    """
-    _check_cap(g)
-    return _equitable(g.bits, [tuple(range(g.n))], [(1 << g.n) - 1])[-1]
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -290,9 +317,8 @@ def automorphism_count(g: Graph) -> int:
     that A_m is trivial; orbit-stabilizer gives |A_k| = |A_k-orbit of
     b_k| * |A_{k+1}|.
     """
-    _check_cap(g)
     search = _CanonSearch(g)
-    search.run()
+    search.run(root_partition(g.bits))
     path = search.best_path
     order = 1
     for k, b in enumerate(path):

@@ -25,7 +25,8 @@ from .graph import (Graph, complete_bipartite, complete_graph, cycle_graph,
 from .graph6 import from_graph6, to_graph6
 from .params import beta, degeneracy, min_edge_degree_sum, tree_partition
 from .planarity import is_planar
-from .search import SearchBudget, extremal_number, record_to_json
+from .search import (SearchBudget, _check_n, _deadline, _left, extremal_number,
+                     record_to_json)
 from .verify import CLAIMS, run_claim
 
 EXIT_PASS = 0
@@ -276,8 +277,17 @@ def _table_rows(spec_text: str, budget: SearchBudget):
         family = parse_forbid(kv.get("forbid", "C4"))
         header = ["n", "max_count", "graphs_explored", "status", "witnesses"]
         rows = []
+        # the rows share the time limit; once it has passed, each size
+        # left is still checked and listed, as an incomplete row with
+        # nothing scanned
+        deadline = _deadline(budget)
         for n in range(lo, hi + 1):
-            rec = extremal_number(n, pattern, family, budget)
+            own = _left(budget, deadline)
+            if own is None:
+                _check_n(n, budget)
+                rows.append([n, 0, 0, "incomplete", ""])
+                continue
+            rec = extremal_number(n, pattern, family, own)
             rows.append([n, rec.max_count, rec.graphs_explored, rec.status,
                          ";".join(to_graph6(f.as_graph()) for f in rec.witnesses)])
         return header, rows

@@ -66,10 +66,27 @@ class Graph:
         return build_graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
 
     def with_vertex(self, attach_to: Iterable[int]) -> Graph:
-        """Return the graph extended by one new vertex joined to attach_to."""
+        """Return the graph extended by one new vertex n joined to attach_to.
+
+        The parent's sorted edges and rows are extended directly, with no
+        `build_graph` pass; an id outside 0..n-1 or given twice raises
+        ValueError.
+        """
         w = self.n
-        extra = [(a, w) for a in attach_to]
-        return build_graph(w + 1, list(self.edges) + extra)
+        new = sorted(attach_to)
+        mask = 0
+        for a in new:
+            if not 0 <= a < w:
+                raise ValueError(f"attachment {a!r} is outside 0..{w - 1}")
+            mask |= 1 << a
+        if mask.bit_count() != len(new):
+            raise ValueError(f"attachment ids {new!r} repeat")
+        edges = tuple(sorted(self.edges + tuple((a, w) for a in new)))
+        adj = tuple(row + (w,) if mask >> v & 1 else row
+                    for v, row in enumerate(self.adj)) + (tuple(new),)
+        bits = tuple(row | 1 << w if mask >> v & 1 else row
+                     for v, row in enumerate(self.bits)) + (mask,)
+        return Graph(w + 1, edges, adj, bits)
 
     def delete_vertex(self, v: int) -> Graph:
         """Remove v and relabel the remaining vertices densely, order kept."""

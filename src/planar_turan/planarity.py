@@ -6,12 +6,18 @@ adjacency rows directly, and both depth-first passes are iterative, so
 deep hosts never meet the recursion limit.  It keeps only the state the
 decision needs: heights, lowpoints, the nesting order, the conflict-pair
 stack, `ref` and `stack_bottom`.  The sides of the back edges, and with
-them `lowpt_edge` and the embedding, are never computed.
+them `lowpt_edge` and the embedding, are never computed.  Two degree
+checks come first: more than 3n - 6 edges is non-planar, and a graph
+with fewer than 6 vertices of degree >= 3 and fewer than 5 of degree
+>= 4 is planar, since a K3,3 subdivision has 6 branch vertices of
+degree 3 and a K5 subdivision 5 of degree 4 (Kuratowski).
 
 A Kuratowski witness is found by deletion: each edge (u, v), u < v, in
 lexicographic order, is deleted for good when the graph stays
 non-planar without it.  What remains is an edge-minimal non-planar
-subgraph, i.e. a K5 or K3,3 subdivision.  networkx's
+subgraph, i.e. a K5 or K3,3 subdivision.  The re-tests go through the
+same degree checks, which only settle graphs the full test would
+decide the same way, so the witness does not depend on them.  networkx's
 `get_counterexample` meets the edges in this order too; it only adds
 re-tests of edges it has already kept, and a kept edge stays needed in
 every later, smaller graph, so the two give the same witness.  The
@@ -23,7 +29,7 @@ verification suite.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -72,7 +78,7 @@ def _classify_witness(edges: tuple[tuple[int, int], ...]) -> str | None:
     return None
 
 
-def _lr_planar(n: int, adj: Sequence[Iterable[int]]) -> bool:
+def _lr_planar(n: int, adj: Sequence[Collection[int]]) -> bool:
     """True when the graph with neighbour rows adj[0..n-1] is planar.
 
     Edges get ids in the order the orientation pass meets them.  An
@@ -80,8 +86,14 @@ def _lr_planar(n: int, adj: Sequence[Iterable[int]]) -> bool:
     conflict pair is the list [left low, left high, right low, right
     high], and `stack_bottom` compares pairs by identity.
     """
-    if n > 2 and sum(len(row) for row in adj) > 2 * (3 * n - 6):
+    degrees = [len(row) for row in adj]
+    if n > 2 and sum(degrees) > 2 * (3 * n - 6):
         return False  # more than 3n - 6 edges
+    # A K3,3 subdivision needs 6 branch vertices of degree >= 3, a K5
+    # subdivision 5 of degree >= 4; with neither, Kuratowski says planar.
+    if (sum(d >= 3 for d in degrees) < 6
+            and sum(d >= 4 for d in degrees) < 5):
+        return True
 
     # -- orientation pass: heights, lowpoints, nesting order ------------
     height = [-1] * n

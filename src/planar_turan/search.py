@@ -11,12 +11,15 @@ isomorphism class then appears exactly once globally, with no
 deduplication table within a parent or across a level.
 
 That vertex, and with it its Aut(child) orbit, lies in the last cell
-of the child's root equitable partition (`last_root_cell`), so a child is
-rejected when the new vertex is outside that cell and accepted with no
-canonical search when the cell is the new vertex alone; only the rest
-get a full `canonical_search`.  Children are kept as built, so the
-enumeration yields each class exactly once in a deterministic order,
-but not in canonical labelling and not sorted per parent.
+of the child's root equitable partition, so a child is rejected when
+the new vertex is outside that cell and accepted with no canonical
+search when the cell is the new vertex alone; only the rest get a full
+`canonical_search`, started from that partition.  The partition is
+refined from the child's bit rows, the parent's rows plus the mask, so
+a child is built as a `Graph` only when it survives this test.
+Children are kept as built, so the enumeration yields each class
+exactly once in a deterministic order, but not in canonical labelling
+and not sorted per parent.
 
 Planarity and forbidden cycles are hereditary under vertex deletion, so
 pruning during augmentation is sound, and each test runs at the cheapest
@@ -35,11 +38,11 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from .canonical import (CanonicalForm, canonical_form, canonical_search,
-                        last_root_cell, orbit_roots)
+                        orbit_roots, root_partition)
 from .counting import Pattern, count_copies
 from .cycles import (EMPTY_FAMILY, ForbiddenFamily, closing_partners,
                      is_family_free)
@@ -103,10 +106,13 @@ def _accepted_children(parent: Graph, family: ForbiddenFamily,
     Cheapest test first: attachment masks that close a forbidden cycle,
     break the planar edge bound or leave the new vertex short of maximum
     degree are dropped before any child is built; one mask per
-    Aut(parent) orbit survives.  The parent test is settled by the
-    child's last root cell when it can be (n outside it: reject; the
-    cell is (n,): accept), and otherwise by one canonical search.
-    Planarity runs only on accepted children.
+    Aut(parent) orbit survives.  Each surviving mask gives the child's
+    bit rows, and their root partition is refined once; n outside its
+    last cell rejects the child before any `Graph` exists.  Only then
+    is the child built, checked for extra patterns, and its parent test
+    finished: accepted when the last cell is (n,), otherwise by one
+    canonical search from that partition.  Planarity runs only on
+    accepted children.
     """
     n = parent.n
     partners = closing_partners(parent, family)
@@ -133,18 +139,22 @@ def _accepted_children(parent: Graph, family: ForbiddenFamily,
             root = orbit_roots(1 << n, [_on_masks(p) for p in generators])
             masks = [m for m in masks if root[m] == m]
     accepted: list[Graph] = []
+    bits = parent.bits
     for mask in masks:
-        child = parent.with_vertex([i for i in range(n) if mask >> i & 1])
-        if family.extra_patterns and not is_family_free(child, family):
-            continue
         # McKay's criterion: the new vertex n must lie in the Aut(child)
         # orbit of the vertex at the last canonical position.  That vertex
         # and its orbit lie in the last root cell, which often decides.
-        cell = last_root_cell(child)
+        rows = tuple(row | 1 << n if mask >> v & 1 else row
+                     for v, row in enumerate(bits)) + (mask,)
+        cells = root_partition(rows)
+        cell = cells[-1]
         if n not in cell:
             continue
+        child = parent.with_vertex([i for i in range(n) if mask >> i & 1])
+        if family.extra_patterns and not is_family_free(child, family):
+            continue
         if len(cell) > 1:
-            _, pos, generators = canonical_search(child)
+            _, pos, generators = canonical_search(child, cells)
             last = pos.index(n)
             if last != n:
                 if not generators:
@@ -187,6 +197,16 @@ def _deadline(budget: SearchBudget) -> float | None:
     if budget.time_limit is None:
         return None
     return time.monotonic() + budget.time_limit
+
+
+def _left(budget: SearchBudget, deadline: float | None) -> SearchBudget | None:
+    """`budget` with only the time left before `deadline`, or None once
+    it has passed, so the searches of one claim or table share its time
+    limit."""
+    if deadline is None:
+        return budget
+    left = deadline - time.monotonic()
+    return replace(budget, time_limit=left) if left > 0 else None
 
 
 def enumerate_constrained(n: int, family: ForbiddenFamily = EMPTY_FAMILY,

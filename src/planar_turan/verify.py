@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bruteforce import count_copies_brute, is_planar_by_subdivision
 from .constructions import (CertificationError, ConstructionError,
@@ -23,7 +23,7 @@ from .graph import (Graph, build_graph, cycle_graph, empty_graph,
                     path_with_edges, star_graph)
 from .params import beta, degeneracy, min_edge_degree_sum, tree_partition
 from .planarity import is_planar
-from .search import (SearchBudget, SearchIncomplete, _deadline,
+from .search import (SearchBudget, SearchIncomplete, _deadline, _left,
                      enumerate_constrained, extremal_number)
 
 GROWTH_TOLERANCE = 0.15
@@ -122,15 +122,6 @@ class _Rows(list):
 
 def _past(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() >= deadline
-
-
-def _left(budget: SearchBudget, deadline: float | None) -> SearchBudget | None:
-    """`budget` with only the time left before `deadline`, or None once
-    it has passed, so the searches of one claim share its time limit."""
-    if deadline is None:
-        return budget
-    left = deadline - time.monotonic()
-    return replace(budget, time_limit=left) if left > 0 else None
 
 
 def _status(details, incomplete: bool = False) -> str:
@@ -366,51 +357,65 @@ def _claim_certification_matrix(budget: SearchBudget) -> tuple[str, list[dict]]:
     return _status(details), details
 
 
+def _classes(n: int, family: ForbiddenFamily, require_planar: bool,
+             max_vertices: int, deadline: float | None):
+    """`enumerate_constrained` with only the time left before `deadline`;
+    raises SearchIncomplete once it passes, also between yielded classes."""
+    own = _left(SearchBudget(max_vertices=max_vertices), deadline)
+    if own is None:
+        raise SearchIncomplete("the claim's time limit passed")
+    for g in enumerate_constrained(n, family, require_planar=require_planar,
+                                   budget=own):
+        if _past(deadline):
+            raise SearchIncomplete("the claim's time limit passed")
+        yield g
+
+
 def _claim_planarity_oracle(budget: SearchBudget) -> tuple[str, list[dict]]:
     """Planarity verdicts against the subdivision-search oracle over every
-    isomorphism class on at most 7 vertices."""
+    isomorphism class on at most 7 vertices.  The enumerations share the
+    claim's time limit."""
     details = _Rows()
-    own = SearchBudget(max_vertices=7, time_limit=budget.time_limit)
-    for n in range(1, 8):
-        total = 0
-        mismatches = 0
-        try:
-            for g in enumerate_constrained(n, EMPTY_FAMILY, require_planar=False,
-                                           budget=own):
+    deadline = _deadline(budget)
+    try:
+        for n in range(1, 8):
+            total = 0
+            mismatches = 0
+            for g in _classes(n, EMPTY_FAMILY, False, 7, deadline):
                 total += 1
                 if is_planar(g).is_planar != is_planar_by_subdivision(g):
                     mismatches += 1
-        except SearchIncomplete:
-            return _status(details, True), details
-        details.append({
-            "instance": f"all classes n={n}",
-            "expected": f"{GRAPH_CLASS_COUNTS[n]} classes, 0 mismatches",
-            "got": f"{total} classes, {mismatches} mismatches",
-            "ok": total == GRAPH_CLASS_COUNTS[n] and mismatches == 0})
+            details.append({
+                "instance": f"all classes n={n}",
+                "expected": f"{GRAPH_CLASS_COUNTS[n]} classes, 0 mismatches",
+                "got": f"{total} classes, {mismatches} mismatches",
+                "ok": total == GRAPH_CLASS_COUNTS[n] and mismatches == 0})
+    except SearchIncomplete:
+        return _status(details, True), details
     return _status(details), details
 
 
 def _claim_degenerate_structure(budget: SearchBudget) -> tuple[str, list[dict]]:
     """Degeneracy of enumerated planar graphs, and the minimum edge degree
-    sum of planar C4-free graphs with minimum degree >= 2."""
+    sum of planar C4-free graphs with minimum degree >= 2.  The
+    enumerations share the claim's time limit."""
     details = _Rows()
     worst_degen = 0
     planar_total = 0
     fam = ForbiddenFamily(frozenset({4}))
     checked = 0
     worst_sum = None
-    own = SearchBudget(max_vertices=8, time_limit=budget.time_limit)
+    deadline = _deadline(budget)
     try:
         for n in range(1, 8):
-            for g in enumerate_constrained(n, EMPTY_FAMILY, require_planar=True,
-                                           budget=own):
+            for g in _classes(n, EMPTY_FAMILY, True, 8, deadline):
                 planar_total += 1
                 worst_degen = max(worst_degen, degeneracy(g))
         details.append({
             "instance": f"degeneracy over {planar_total} planar classes n<=7",
             "expected": "<= 5", "got": worst_degen, "ok": worst_degen <= 5})
         for n in range(3, 9):
-            for g in enumerate_constrained(n, fam, require_planar=True, budget=own):
+            for g in _classes(n, fam, True, 8, deadline):
                 if g.edge_count == 0 or min(g.degree_sequence()) < 2:
                     continue
                 checked += 1

@@ -14,11 +14,13 @@ import pytest
 
 from planar_turan.bruteforce import are_isomorphic_brute, automorphism_count_brute
 from planar_turan.canonical import (
+    _equitable,
     automorphism_count,
     canonical_form,
     canonical_labeling,
     canonical_search,
     orbit_roots,
+    root_partition,
 )
 from planar_turan.graph import (
     build_graph,
@@ -242,3 +244,41 @@ def test_orbit_roots_are_least_members():
     assert orbit_roots(6, [(1, 2, 0, 4, 3, 5)]) == [0, 0, 0, 3, 3, 5]
     assert orbit_roots(4, []) == [0, 1, 2, 3]
     assert orbit_roots(4, [(0, 1, 3, 2), (1, 0, 2, 3), (0, 2, 1, 3)]) == [0] * 4
+
+
+def _textbook_equitable(bits, cells):
+    """Reference refinement: each round splits every cell by its vertices'
+    counts against every cell of the partition, pieces in increasing
+    order of those count tuples, until no cell splits."""
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        new = []
+        for cell in cells:
+            groups = {}
+            for v in cell:
+                key = tuple((bits[v] & m).bit_count() for m in masks)
+                groups.setdefault(key, []).append(v)
+            new.extend(tuple(groups[key]) for key in sorted(groups))
+        if len(new) == len(cells):
+            return cells
+        cells = new
+
+
+def test_refinement_matches_the_textbook_refinement():
+    # from the unit partition, and from each node one individualization
+    # below the root, as canonical_search descends
+    individualized = 0
+    for n in range(1, 8):
+        for g in enumerate_constrained(n, require_planar=False):
+            root = root_partition(g.bits)
+            assert root == _textbook_equitable(g.bits, [tuple(range(n))])
+            for i, cell in enumerate(root):
+                if len(cell) == 1:
+                    continue
+                for v in cell:
+                    cells = (root[:i] + [(v,), tuple(w for w in cell if w != v)]
+                             + root[i + 1:])
+                    assert (_equitable(g.bits, cells, [1 << v])
+                            == _textbook_equitable(g.bits, cells)), (g.edges, v)
+                    individualized += 1
+    assert individualized == 4779  # vertices in non-singleton root cells

@@ -198,10 +198,13 @@ def test_verify_claims_that_never_search_honour_the_time_limit(capsys, claim):
 
 
 @pytest.mark.parametrize("claim, rows", [("c5-c4free-exact", 126),
-                                         ("planar-cycle-maxima", 5)])
+                                         ("planar-cycle-maxima", 5),
+                                         ("planarity-oracle", 7),
+                                         ("degenerate-structure", 2)])
 def test_verify_search_claims_share_one_deadline(capsys, claim, rows):
-    # each search gets only the time left, and the pentagon grid checks
-    # the limit between rows; the full claims take about a second
+    # each search or enumeration gets only the time left, and the
+    # pentagon grid and the enumerated classes check the limit between
+    # rows; the full claims take 0.3 s to a second
     start = time.monotonic()
     report = run_claim(claim, SearchBudget(max_vertices=8, time_limit=0.05))
     assert time.monotonic() - start < 0.5
@@ -244,6 +247,26 @@ def test_table_with_an_incomplete_row_exits_2(tmp_path, capsys):
         rows = json.load(fh)["rows"]
     assert [r["n"] for r in rows] == [4, 5, 6, 7]
     assert rows[-1]["status"] == "incomplete"
+
+
+def test_table_rows_share_one_deadline(tmp_path, capsys):
+    # each row's search gets only the time left; the sizes after the cut
+    # are listed as incomplete rows with nothing scanned.  A full run
+    # takes over ten seconds, n = 9 alone most of it; with 0.05 s per row
+    # instead, the three cut rows alone would take 0.15 s.
+    base = tmp_path / "shared"
+    start = time.monotonic()
+    code = main(["table", "--spec", "extremal n=6..9 pattern=C5 forbid=",
+                 "--max-vertices", "9", "--budget-seconds", "0.05",
+                 "--output", str(base)])
+    assert time.monotonic() - start < 0.15
+    capsys.readouterr()
+    assert code == EXIT_INCOMPLETE
+    with open(f"{base}.json") as fh:
+        rows = json.load(fh)["rows"]
+    assert [r["n"] for r in rows] == [6, 7, 8, 9]
+    assert sum(r["status"] == "complete" for r in rows) < 4
+    assert (rows[-1]["status"], rows[-1]["graphs_explored"]) == ("incomplete", 0)
 
 
 def test_table_beta(tmp_path, capsys):

@@ -107,6 +107,25 @@ def test_with_vertex_and_delete_vertex():
         g.delete_vertex(4)
 
 
+def test_with_vertex_equals_the_built_graph():
+    # with_vertex extends the rows and the sorted edges directly; the
+    # result must be the graph build_graph makes, view for view
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                            if rng.random() < 0.4])
+        attach = [v for v in range(n) if rng.random() < 0.5]
+        rng.shuffle(attach)
+        h = g.with_vertex(attach)
+        want = build_graph(n + 1, list(g.edges) + [(a, n) for a in attach])
+        assert (h.n, h.edges, h.adj, h.bits) == (want.n, want.edges,
+                                                 want.adj, want.bits)
+    for bad in ([4], [-1], [0, 0], [1, 2, 1]):
+        with pytest.raises(ValueError):
+            cycle_graph(4).with_vertex(bad)
+
+
 def test_induced_subgraph_relabels_sorted():
     g = build_graph(6, [(0, 3), (3, 5), (1, 2), (2, 4)])
     sub = induced_subgraph(g, [5, 0, 3])

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,8 @@ from planar_turan.graph import (
     star_graph,
 )
 from planar_turan.graph6 import from_graph6
-from planar_turan.planarity import is_planar
+from planar_turan.planarity import _lr_planar, is_planar
+from planar_turan.search import enumerate_constrained
 from planar_turan.verify import CERTIFICATION_MATRIX
 
 
@@ -80,6 +82,79 @@ def test_agreement_with_subdivision_oracle():
         n = rng.randint(1, 7)
         g = _random_graph(rng, n, rng.uniform(0.1, 0.95))
         assert is_planar(g).is_planar == is_planar_by_subdivision(g)
+
+
+# ----------------------------------------------------------------------
+# The Kuratowski degree pre-check: with fewer than 6 vertices of degree
+# >= 3 and fewer than 5 of degree >= 4 there is no K3,3 or K5
+# subdivision, so the left-right test returns True at once.
+# ----------------------------------------------------------------------
+
+def _subdivide(g, edge):
+    u, v = edge
+    return build_graph(g.n + 1, [e for e in g.edges if e != edge]
+                       + [(u, g.n), (v, g.n)])
+
+
+def _petersen():
+    return build_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                       + [(i, i + 5) for i in range(5)]
+                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+K5_SUB = _subdivide(complete_graph(5), (0, 1))
+K33_SUB = _subdivide(complete_bipartite(3, 3), (0, 3))
+K5_MINUS_EDGE = [e for e in complete_graph(5).edges if e != (0, 1)]
+
+
+def test_lr_test_agrees_with_subdivision_oracle_on_every_small_class():
+    for n in range(1, 8):
+        for g in enumerate_constrained(n, require_planar=False):
+            assert _lr_planar(g.n, g.adj) == is_planar_by_subdivision(g), g.edges
+
+
+@pytest.mark.parametrize("g, planar", [
+    (complete_graph(5), False),
+    (complete_bipartite(3, 3), False),
+    (K5_SUB, False),       # five vertices of degree 4
+    (K33_SUB, False),      # six vertices of degree 3
+    # the pre-check's boundary: K5 - e has five vertices of degree >= 3;
+    # with a leaf on vertex 0, four of them have degree 4
+    (build_graph(5, K5_MINUS_EDGE), True),
+    (build_graph(6, K5_MINUS_EDGE + [(0, 5)]), True),
+    # K4 with a leaf on each vertex: four of degree 4
+    (build_graph(8, list(complete_graph(4).edges)
+                 + [(v, v + 4) for v in range(4)]), True),
+    # past the pre-check: planar with many branch vertices
+    (build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)
+                     if j != i + 3]), True),   # octahedron, six of degree 4
+    (_petersen(), False),
+])
+def test_degree_precheck_boundary(g, planar):
+    assert _lr_planar(g.n, g.adj) is planar
+    assert is_planar_by_subdivision(g) is planar
+
+
+@pytest.mark.parametrize("g, kind, edges", [
+    (K5_SUB, "K5", ((0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4),
+                    (1, 5), (2, 3), (2, 4), (3, 4))),
+    (K33_SUB, "K3,3", ((0, 4), (0, 5), (0, 6), (1, 3), (1, 4), (1, 5), (2, 3),
+                       (2, 4), (2, 5), (3, 6))),
+    (build_graph(7, list(K5_SUB.edges) + [(6, 0), (6, 5), (6, 2)]), "K3,3",
+     ((0, 3), (0, 4), (0, 6), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 6),
+      (5, 6))),
+    (build_graph(8, list(K33_SUB.edges) + [(0, 1), (6, 7), (7, 2), (4, 7)]),
+     "K3,3", ((0, 5), (0, 6), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (2, 7),
+              (3, 6), (4, 7), (6, 7))),
+    (_petersen(), "K3,3", ((1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 8),
+                           (4, 9), (5, 7), (5, 8), (6, 8), (6, 9), (7, 9))),
+])
+def test_witnesses_of_subdivisions_are_pinned(g, kind, edges):
+    # the deletion loop meets many graphs the pre-check settles; the
+    # witnesses are those the left-right test alone gave
+    verdict = is_planar(g, want_witness=True)
+    assert (verdict.is_planar, verdict.witness_kind) == (False, kind)
+    assert verdict.witness_edges == edges
 
 
 # ----------------------------------------------------------------------

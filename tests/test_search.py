@@ -17,9 +17,9 @@ from planar_turan import search
 from planar_turan.bruteforce import (count_copies_brute, count_cycles_brute,
                                      is_planar_by_subdivision)
 from planar_turan.canonical import (canonical_form, canonical_search,
-                                    last_root_cell, orbit_roots)
+                                    orbit_roots, root_partition)
 from planar_turan.counting import Pattern
-from planar_turan.cycles import EMPTY_FAMILY, ForbiddenFamily
+from planar_turan.cycles import EMPTY_FAMILY, ForbiddenFamily, is_family_free
 from planar_turan.graph import (build_graph, cycle_graph, is_connected,
                                 path_with_edges)
 from planar_turan.graph6 import from_graph6, to_graph6
@@ -91,16 +91,20 @@ def _last_orbit(child):
 
 
 def test_last_root_cell_decides_the_parent_test_like_the_full_search():
-    # search settles the parent test from the last root cell when the new
-    # vertex k is outside it (reject) or alone in it (accept), and keeps
-    # only children that pass it
+    # search settles the parent test from the last cell of the root
+    # partition when the new vertex k is outside it (reject) or alone in
+    # it (accept), and keeps only children that pass it; the partition is
+    # the node canonical_search starts from, so handing it over changes
+    # nothing
     decided = {True: 0, False: 0}
     for k in range(1, 7):
         for parent in enumerate_constrained(k, require_planar=False):
             for mask in range(1 << k):
                 child = parent.with_vertex([i for i in range(k) if mask >> i & 1])
                 orbit = _last_orbit(child)
-                cell = last_root_cell(child)
+                cells = root_partition(child.bits)
+                assert canonical_search(child, cells) == canonical_search(child)
+                cell = cells[-1]
                 assert orbit <= set(cell)
                 if k not in cell or cell == (k,):
                     assert (k in cell) == (k in orbit), (to_graph6(child), cell)
@@ -119,6 +123,21 @@ def test_enumeration_yields_each_class_once(n, family, planar, classes):
     forms = [canonical_form(g)
              for g in enumerate_constrained(n, family, require_planar=planar)]
     assert len(set(forms)) == len(forms) == classes
+
+
+def test_family_searches_match_the_filtered_planar_classes():
+    # the family searches prune with closing_partners; filtering the
+    # 6 966 planar classes on 8 vertices by is_family_free never calls
+    # it, so a funnel that dropped a class would show here
+    planar = list(enumerate_constrained(8))
+    assert len(planar) == 6966
+    for lengths, want in [((4,), 351), ((3,), 367), ((5,), 899),
+                          ((3, 4), 114)]:
+        family = ForbiddenFamily.of_lengths(*lengths)
+        kept = {canonical_form(g) for g in planar if is_family_free(g, family)}
+        searched = {canonical_form(g) for g in enumerate_constrained(8, family)}
+        assert len(kept) == want, lengths
+        assert searched == kept, lengths
 
 
 def test_enumeration_connected_filter():
@@ -195,10 +214,11 @@ def test_extremal_time_limit_yields_incomplete():
 
 
 def test_extremal_time_limit_bounds_wall_time_with_workers():
-    # the planar C5 search at n = 8 takes several seconds at width 2
+    # the planar C5 search at n = 9 takes over ten seconds at width 2
     start = time.monotonic()
-    rec = extremal_number(8, cycle_graph(5), EMPTY_FAMILY,
-                          SearchBudget(time_limit=1.0, parallel_width=2),
+    rec = extremal_number(9, cycle_graph(5), EMPTY_FAMILY,
+                          SearchBudget(max_vertices=9, time_limit=1.0,
+                                       parallel_width=2),
                           use_cache=False)
     assert rec.status == "incomplete"
     assert time.monotonic() - start < 1.5
