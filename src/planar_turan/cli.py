@@ -5,7 +5,8 @@ calls one or two library operations, and serializes the result.  Exit
 codes are CI-oriented: 0 pass, 1 fail, 2 incomplete, 64 usage error.
 
 The cache directory for search results is taken from the environment
-variable PLANAR_TURAN_CACHE; when unset, nothing is cached.
+variable PLANAR_TURAN_CACHE; when unset, nothing is cached, and a path
+that is not a usable directory is a usage error.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .graph import (Graph, complete_bipartite, complete_graph, cycle_graph,
 from .graph6 import from_graph6, to_graph6
 from .params import beta, degeneracy, min_edge_degree_sum, tree_partition
 from .planarity import is_planar
-from .search import (SearchBudget, _check_n, _deadline, _left, extremal_number,
+from .search import (DEFAULT_VERTEX_CAP, SearchBudget, SearchIncomplete,
+                     _check_n, _deadline, _left, extremal_number,
                      record_to_json)
-from .verify import CLAIMS, run_claim
+from .verify import CLAIM_VERTEX_CAP, CLAIMS, run_claim
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -120,7 +122,7 @@ def _parse_params(text: str | None) -> dict:
     return out
 
 
-def _budget(args, default_cap: int = 8) -> SearchBudget:
+def _budget(args, default_cap: int = DEFAULT_VERTEX_CAP) -> SearchBudget:
     """The options as given; SearchBudget refuses values out of range."""
     cap, jobs = args.max_vertices, args.jobs
     return SearchBudget(max_vertices=default_cap if cap is None else cap,
@@ -240,8 +242,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # the n=8 exhaustive sweep is opt-in via --max-vertices 8
-    report = run_claim(args.claim, _budget(args, default_cap=7))
+    report = run_claim(args.claim, _budget(args, default_cap=CLAIM_VERTEX_CAP))
     payload = {"claim": report.claim_id, "status": report.status,
                "runtime_s": round(report.runtime, 3),
                "details": list(report.details)}
@@ -253,11 +254,8 @@ def _cmd_verify(args) -> int:
         payload["details"] = [d for d in report.details if not d["ok"]]
         payload["checks"] = len(report.details)
     _emit(args, payload)
-    if report.status == "pass":
-        return EXIT_PASS
-    if report.status == "incomplete":
-        return EXIT_INCOMPLETE
-    return EXIT_FAIL
+    return {"pass": EXIT_PASS, "fail": EXIT_FAIL,
+            "incomplete": EXIT_INCOMPLETE}[report.status]
 
 
 def _table_rows(spec_text: str, budget: SearchBudget):
@@ -282,12 +280,13 @@ def _table_rows(spec_text: str, budget: SearchBudget):
         # nothing scanned
         deadline = _deadline(budget)
         for n in range(lo, hi + 1):
-            own = _left(budget, deadline)
-            if own is None:
+            try:
+                rec = extremal_number(n, pattern, family,
+                                      _left(budget, deadline))
+            except SearchIncomplete:
                 _check_n(n, budget)
                 rows.append([n, 0, 0, "incomplete", ""])
                 continue
-            rec = extremal_number(n, pattern, family, own)
             rows.append([n, rec.max_count, rec.graphs_explored, rec.status,
                          ";".join(to_graph6(f.as_graph()) for f in rec.witnesses)])
         return header, rows

@@ -186,8 +186,7 @@ def _grow(level: list[Graph], steps: int, family: ForbiddenFamily,
     for _ in range(steps):
         nxt: list[Graph] = []
         for parent in level:
-            if deadline is not None and time.monotonic() > deadline:
-                raise SearchIncomplete("time limit passed during augmentation")
+            _check(deadline)
             nxt.extend(_accepted_children(parent, family, require_planar))
         level = nxt
     return level
@@ -199,14 +198,22 @@ def _deadline(budget: SearchBudget) -> float | None:
     return time.monotonic() + budget.time_limit
 
 
-def _left(budget: SearchBudget, deadline: float | None) -> SearchBudget | None:
-    """`budget` with only the time left before `deadline`, or None once
-    it has passed, so the searches of one claim or table share its time
-    limit."""
+def _check(deadline: float | None) -> None:
+    """Raise SearchIncomplete once the monotonic `deadline` has passed."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise SearchIncomplete("time limit passed")
+
+
+def _left(budget: SearchBudget, deadline: float | None) -> SearchBudget:
+    """`budget` with only the time left before `deadline`, so the
+    searches of one claim or table share its time limit.  Raises
+    SearchIncomplete once it has passed."""
     if deadline is None:
         return budget
     left = deadline - time.monotonic()
-    return replace(budget, time_limit=left) if left > 0 else None
+    if left <= 0:
+        raise SearchIncomplete("time limit passed")
+    return replace(budget, time_limit=left)
 
 
 def enumerate_constrained(n: int, family: ForbiddenFamily = EMPTY_FAMILY,
@@ -214,12 +221,14 @@ def enumerate_constrained(n: int, family: ForbiddenFamily = EMPTY_FAMILY,
                           require_connected: bool = False,
                           budget: SearchBudget | None = None):
     """Yield one representative per isomorphism class of n-vertex graphs
-    satisfying the constraints.  Raises SearchIncomplete if the budget's
-    time limit passes mid-stream; partial output is never silent."""
+    satisfying the constraints.  Raises SearchIncomplete once the
+    budget's time limit passes, also between yielded classes, so a slow
+    consumer is stopped too; partial output is never silent."""
     budget = budget or SearchBudget()
     _check_n(n, budget)
-    for g in _grow([empty_graph(1)], n - 1, family, require_planar,
-                   _deadline(budget)):
+    deadline = _deadline(budget)
+    for g in _grow([empty_graph(1)], n - 1, family, require_planar, deadline):
+        _check(deadline)
         if require_connected and not is_connected(g):
             continue
         yield g
@@ -287,9 +296,9 @@ def extremal_number(n: int, pattern: Graph | Pattern,
     try:
         trunk = _grow([empty_graph(1)], split - 1, family, require_planar,
                       deadline)
-        pool = None
-        if budget.parallel_width > 1 and len(trunk) > 1:
-            pool = ProcessPoolExecutor(max_workers=budget.parallel_width)
+        # fork starts every worker at the first map: no more than tasks
+        width = min(budget.parallel_width, len(trunk))
+        pool = ProcessPoolExecutor(max_workers=width) if width > 1 else None
         try:
             results = pool.map(task, trunk) if pool else map(task, trunk)
             for sub_explored, sub_best, sub_found in results:
@@ -360,7 +369,11 @@ def _cache_file() -> str | None:
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
-    os.makedirs(root, exist_ok=True)
+    try:
+        os.makedirs(root, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{CACHE_ENV}={root!r} is not a usable cache "
+                         f"directory: {exc}") from exc
     return os.path.join(root, "extremal.jsonl")
 
 

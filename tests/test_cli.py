@@ -20,7 +20,8 @@ from planar_turan.graph import (
     cycle_graph,
     path_with_edges,
 )
-from planar_turan.search import SearchBudget
+from planar_turan import verify
+from planar_turan.search import SearchBudget, SearchIncomplete
 from planar_turan.verify import run_claim
 
 
@@ -215,6 +216,61 @@ def test_verify_search_claims_share_one_deadline(capsys, claim, rows):
                                        "--budget-seconds", "0.01"])
     assert code == EXIT_INCOMPLETE
     assert payload["status"] == "incomplete"
+
+
+def _fake_claim(*oks, stop=False, sleep=0.0):
+    def claim(budget, deadline):
+        for i, ok in enumerate(oks):
+            time.sleep(sleep)
+            yield {"instance": f"row {i}", "ok": ok}
+        if stop:
+            raise SearchIncomplete("the claim's time limit passed")
+    return claim
+
+
+def test_run_claim_keeps_the_rows_of_a_stopped_claim(monkeypatch, capsys):
+    # a stop outranks a failed row, and the rows done so far are kept
+    monkeypatch.setitem(verify.CLAIMS, "beta-closed-forms",
+                        _fake_claim(False, stop=True))
+    report = run_claim("beta-closed-forms")
+    assert report.status == "incomplete"
+    assert [d["instance"] for d in report.details] == ["row 0"]
+    assert report.details[0]["runtime_s"] >= 0
+    assert main(["verify", "--claim", "beta-closed-forms"]) == EXIT_INCOMPLETE
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("oks, status, code", [((True, True), "pass", EXIT_PASS),
+                                               ((True, False), "fail", EXIT_FAIL),
+                                               ((), "pass", EXIT_PASS)])
+def test_run_claim_judges_a_finished_claim_on_its_rows(monkeypatch, capsys,
+                                                      oks, status, code):
+    monkeypatch.setitem(verify.CLAIMS, "beta-closed-forms", _fake_claim(*oks))
+    report = run_claim("beta-closed-forms")
+    assert report.status == status
+    assert [d["ok"] for d in report.details] == list(oks)
+    assert all("runtime_s" in d for d in report.details)
+    assert main(["verify", "--claim", "beta-closed-forms"]) == code
+    capsys.readouterr()
+
+
+def test_run_claim_passes_a_claim_whose_last_row_ends_past_the_limit(monkeypatch):
+    # claims check the deadline before a row, never after their last one
+    monkeypatch.setitem(verify.CLAIMS, "beta-closed-forms",
+                        _fake_claim(True, sleep=0.05))
+    report = run_claim("beta-closed-forms", SearchBudget(time_limit=0.01))
+    assert report.status == "pass"
+    assert report.details[0]["runtime_s"] >= 0.05
+
+
+def test_search_refuses_a_cache_path_that_is_a_file(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    monkeypatch.setenv("PLANAR_TURAN_CACHE", str(path))
+    code = main(["search", "--n", "5", "--pattern", "C5", "--forbid", "C4"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "PLANAR_TURAN_CACHE" in err and str(path) in err
 
 
 def test_verify_unknown_claim(capsys):

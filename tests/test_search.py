@@ -161,6 +161,16 @@ def test_enumeration_time_limit():
         list(enumerate_constrained(7, budget=budget))
 
 
+def test_enumeration_time_limit_stops_a_slow_consumer():
+    # the limit is checked between yielded classes too, not only while
+    # they are grown; all 142 classes at 5 ms each would take 0.7 s
+    start = time.monotonic()
+    with pytest.raises(SearchIncomplete):
+        for _ in enumerate_constrained(6, budget=SearchBudget(time_limit=0.05)):
+            time.sleep(0.005)
+    assert time.monotonic() - start < 0.5
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_vertices=0)
@@ -199,6 +209,33 @@ def test_extremal_deterministic_across_widths():
     assert serial == parallel  # elapsed is excluded from comparison
     assert serial.witnesses == parallel.witnesses
     assert serial.graphs_explored == parallel.graphs_explored
+
+
+def test_pool_width_is_capped_at_the_task_count(monkeypatch):
+    widths = []
+
+    class SerialPool:
+        """Records the width asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    serial = extremal_number(5, cycle_graph(5), C4_FREE, use_cache=False)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    wide = extremal_number(5, cycle_graph(5), C4_FREE,
+                           SearchBudget(parallel_width=64), use_cache=False)
+    # the trunk at n = 5 is the four graphs on 3 vertices
+    assert widths == [4]
+    assert wide == serial and wide.witnesses == serial.witnesses
+    extremal_number(6, cycle_graph(5), C4_FREE,
+                    SearchBudget(parallel_width=2), use_cache=False)
+    assert widths == [4, 2]
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -306,6 +343,15 @@ def test_cache_survives_a_torn_line_and_recertifies_hits(tmp_path, monkeypatch):
     second = extremal_number(6, cycle_graph(5), C4_FREE)
     assert second == first
     assert recertified == [second]
+
+
+def test_cache_path_that_is_a_file_is_refused(tmp_path, monkeypatch):
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    monkeypatch.setenv("PLANAR_TURAN_CACHE", str(path))
+    with pytest.raises(ValueError, match="PLANAR_TURAN_CACHE") as info:
+        extremal_number(5, cycle_graph(5), C4_FREE)
+    assert str(path) in str(info.value)
 
 
 def test_cache_ignored_when_disabled(tmp_path, monkeypatch):
