@@ -296,7 +296,7 @@ def extremal_number(n: int, pattern: Graph | Pattern,
     try:
         trunk = _grow([empty_graph(1)], split - 1, family, require_planar,
                       deadline)
-        # fork starts every worker at the first map: no more than tasks
+        # fork starts every worker at the first map, so cap them at the tasks
         width = min(budget.parallel_width, len(trunk))
         pool = ProcessPoolExecutor(max_workers=width) if width > 1 else None
         try:

@@ -314,12 +314,12 @@ def _claim_planarity_oracle(budget: SearchBudget, deadline: float | None):
     """Planarity verdicts against the subdivision-search oracle over every
     isomorphism class on at most 7 vertices.  The enumerations share the
     claim's time limit."""
-    classes = SearchBudget(max_vertices=7)
+    cap = SearchBudget(max_vertices=7)
     for n in range(1, 8):
         total = 0
         mismatches = 0
         for g in enumerate_constrained(n, require_planar=False,
-                                       budget=_left(classes, deadline)):
+                                       budget=_left(cap, deadline)):
             total += 1
             if is_planar(g).is_planar != is_planar_by_subdivision(g):
                 mismatches += 1
@@ -334,11 +334,11 @@ def _claim_degenerate_structure(budget: SearchBudget, deadline: float | None):
     """Degeneracy of enumerated planar graphs, and the minimum edge degree
     sum of planar C4-free graphs with minimum degree >= 2.  The
     enumerations share the claim's time limit."""
-    classes = SearchBudget(max_vertices=8)
+    cap = SearchBudget(max_vertices=8)
     worst_degen = 0
     planar_total = 0
     for n in range(1, 8):
-        for g in enumerate_constrained(n, budget=_left(classes, deadline)):
+        for g in enumerate_constrained(n, budget=_left(cap, deadline)):
             planar_total += 1
             worst_degen = max(worst_degen, degeneracy(g))
     yield {"instance": f"degeneracy over {planar_total} planar classes n<=7",
@@ -347,8 +347,7 @@ def _claim_degenerate_structure(budget: SearchBudget, deadline: float | None):
     checked = 0
     worst_sum = None
     for n in range(3, 9):
-        for g in enumerate_constrained(n, fam,
-                                       budget=_left(classes, deadline)):
+        for g in enumerate_constrained(n, fam, budget=_left(cap, deadline)):
             if g.edge_count == 0 or min(g.degree_sequence()) < 2:
                 continue
             checked += 1
