@@ -4,7 +4,12 @@ Nothing here is clever on purpose: each function is the transparent,
 factorial-cost version of an operation that the main modules implement
 with pruning or smarter data structures.  Tests and `verify` claims
 compare the two sides; keep these independent of the optimized code
-paths.
+paths.  Edges are probed on the host's bit rows (`bits[a] >> b & 1`).
+
+One sound skip is allowed.  `count_copies_brute` passes over a vertex
+subset whose induced edge count is below |E(h)| before trying any
+bijection, since every copy on that subset has exactly |E(h)| edges,
+all inside it.
 """
 
 from __future__ import annotations
@@ -18,13 +23,11 @@ from .params import BetaWitness
 def are_isomorphic_brute(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    target = set(h.edges)
-    for perm in permutations(range(g.n)):
-        mapped = {(perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-                  for u, v in g.edges}
-        if mapped == target:
-            return True
-    return False
+    # with equal edge counts, a bijection that maps every edge of g to
+    # an edge of h maps the edge sets onto each other
+    hbits = h.bits
+    return any(all(hbits[perm[u]] >> perm[v] & 1 for u, v in g.edges)
+               for perm in permutations(range(g.n)))
 
 
 def automorphism_count_brute(g: Graph) -> int:
@@ -39,10 +42,15 @@ def count_cycles_brute(g: Graph, k: int) -> int:
     """Count k-cycles by labeled closed walks; each cycle appears 2k times."""
     if k < 3 or g.n < k:
         return 0
+    bits = g.bits
     total = 0
     for seq in permutations(range(g.n), k):
-        ok = all(g.has_edge(seq[i], seq[i + 1]) for i in range(k - 1))
-        if ok and g.has_edge(seq[-1], seq[0]):
+        prev = seq[-1]  # the closing edge is probed first
+        for w in seq:
+            if not bits[prev] >> w & 1:
+                break
+            prev = w
+        else:
             total += 1
     assert total % (2 * k) == 0
     return total // (2 * k)
@@ -51,30 +59,36 @@ def count_cycles_brute(g: Graph, k: int) -> int:
 def count_copies_brute(h: Graph, g: Graph) -> int:
     """Count subgraphs of g isomorphic to h, as distinct (vertices, edges) sets.
 
-    For every |V(h)|-subset and every bijection onto it, the image of
-    E(h) is collected when all its edges exist in g; distinct images are
-    the copies.  No automorphism division is involved, which keeps this
-    independent of the embedding-count route.
+    For every |V(h)|-subset with at least |E(h)| induced edges and every
+    bijection onto it, the image of E(h) is collected when all its edges
+    exist in g; the distinct images on each subset are its copies.  No
+    automorphism division is involved, which keeps this independent of
+    the embedding-count route.
     """
     if h.n > g.n:
         return 0
-    found: set[tuple[tuple[int, ...], frozenset[tuple[int, int]]]] = set()
+    bits = g.bits
     hedges = h.edges
+    need = len(hedges)
+    total = 0
     for subset in combinations(range(g.n), h.n):
+        mask = sum(1 << v for v in subset)
+        if sum((bits[v] & mask).bit_count() for v in subset) // 2 < need:
+            continue  # the sound skip of the module docstring
+        # the vertex image is all of subset, so copies that differ only
+        # in isolated-vertex placement lie on different subsets
+        images: set[frozenset[tuple[int, int]]] = set()
         for perm in permutations(subset):
             image = []
-            ok = True
             for u, v in hedges:
                 a, b = perm[u], perm[v]
-                if not g.has_edge(a, b):
-                    ok = False
+                if not bits[a] >> b & 1:
                     break
                 image.append((a, b) if a < b else (b, a))
-            if ok:
-                # the vertex image is all of subset, so copies that differ
-                # only in isolated-vertex placement stay distinct
-                found.add((subset, frozenset(image)))
-    return len(found)
+            else:
+                images.add(frozenset(image))
+        total += len(images)
+    return total
 
 
 def count_paths_brute(g: Graph, u: int, v: int, k: int) -> int:
@@ -85,11 +99,16 @@ def count_paths_brute(g: Graph, u: int, v: int, k: int) -> int:
         return 0
     if k == 1:
         return 1 if g.has_edge(u, v) else 0
+    bits = g.bits
     others = [w for w in range(g.n) if w != u and w != v]
     total = 0
     for internals in permutations(others, k - 1):
-        seq = (u,) + internals + (v,)
-        if all(g.has_edge(seq[i], seq[i + 1]) for i in range(k)):
+        prev = u
+        for w in internals + (v,):
+            if not bits[prev] >> w & 1:
+                break
+            prev = w
+        else:
             total += 1
     return total
 

@@ -29,7 +29,7 @@ from .planarity import is_planar
 from .search import (DEFAULT_VERTEX_CAP, SearchBudget, SearchIncomplete,
                      _check_n, _deadline, _left, extremal_number,
                      record_to_json)
-from .verify import CLAIM_VERTEX_CAP, CLAIMS, run_claim
+from .verify import CLAIM_VERTEX_CAP, CLAIMS, SEARCH_CLAIMS, run_claim
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -242,6 +242,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.claim in CLAIMS and args.claim not in SEARCH_CLAIMS and (
+            args.max_vertices is not None or args.jobs is not None):
+        raise UsageError(
+            f"claim {args.claim!r} reads neither --max-vertices nor --jobs; "
+            f"only {' and '.join(SEARCH_CLAIMS)} do")
     report = run_claim(args.claim, _budget(args, default_cap=CLAIM_VERTEX_CAP))
     payload = {"claim": report.claim_id, "status": report.status,
                "runtime_s": round(report.runtime, 3),

@@ -5,9 +5,10 @@ count_copies is the one place that picks the counter: a cycle pattern
 C_k goes to the cycle walker (`cycles.count_cycles`); any other pattern
 is counted as injective homomorphisms by backtracking in a
 connectivity-first vertex order with bitmask candidate filtering, then
-divided by |Aut(h)|.  The plain injective-homomorphism counter walks
-pattern vertices in id order with no candidate masks, so the two sides
-share no pruning logic and can cross-check each other.
+divided by |Aut(h)|.  The plain injective-homomorphism counter, its
+oracle, walks pattern vertices in id order over every host vertex with
+no candidate masks, probing edges on the host's bit rows, so the two
+sides share no pruning logic and can cross-check each other.
 """
 
 from __future__ import annotations
@@ -117,9 +118,16 @@ def count_copies(h: Graph | Pattern, g: Graph) -> int:
 
 
 def count_injective_homs(h: Graph, g: Graph) -> int:
-    """Injective edge-preserving maps V(h) -> V(g), vertices in id order."""
+    """Injective edge-preserving maps V(h) -> V(g), vertices in id order.
+
+    Each pattern vertex tries every unused host vertex, with no candidate
+    masks, and keeps one adjacent in g to the images of all its
+    lower-id neighbours.
+    """
     if h.n > g.n:
         return 0
+    bits = g.bits
+    earlier = [[u for u in h.adj[v] if u < v] for v in range(h.n)]
     images = [-1] * h.n
 
     def rec(v: int, used: int) -> int:
@@ -129,10 +137,12 @@ def count_injective_homs(h: Graph, g: Graph) -> int:
         for w in range(g.n):
             if used >> w & 1:
                 continue
-            if all(g.has_edge(images[u], w) for u in h.adj[v] if u < v):
+            for u in earlier[v]:
+                if not bits[images[u]] >> w & 1:
+                    break
+            else:
                 images[v] = w
                 total += rec(v + 1, used | 1 << w)
-        images[v] = -1
         return total
 
     return rec(0, 0)

@@ -378,6 +378,11 @@ def _claim_bounded_paths_probe(budget: SearchBudget, deadline: float | None):
                 "expected": "equal maxima", "got": (lo, hi), "ok": lo == hi}
 
 
+# the claims that read the budget's vertex cap and parallel width, both
+# through extremal_number; the others enumerate with fixed caps or
+# search nothing
+SEARCH_CLAIMS = ("c5-c4free-exact", "planar-cycle-maxima")
+
 CLAIMS = {
     "c5-c4free-exact": _claim_c5_c4free_exact,
     "beta-closed-forms": _claim_beta_closed_forms,

@@ -211,11 +211,23 @@ def test_verify_search_claims_share_one_deadline(capsys, claim, rows):
     assert time.monotonic() - start < 0.5
     assert report.status == "incomplete"
     assert len(report.details) < rows
-    code, payload = _run_json(capsys, ["verify", "--claim", claim,
-                                       "--max-vertices", "8",
+    # the CLI refuses a vertex cap for a claim that does not read it
+    cap = ["--max-vertices", "8"] if claim in verify.SEARCH_CLAIMS else []
+    code, payload = _run_json(capsys, ["verify", "--claim", claim, *cap,
                                        "--budget-seconds", "0.01"])
     assert code == EXIT_INCOMPLETE
     assert payload["status"] == "incomplete"
+
+
+@pytest.mark.parametrize("claim", sorted(set(verify.CLAIMS)
+                                         - set(verify.SEARCH_CLAIMS)))
+@pytest.mark.parametrize("option", [["--max-vertices", "3"], ["--jobs", "2"]])
+def test_verify_refuses_options_a_claim_does_not_read(capsys, claim, option):
+    # the claim would run in full and pass, with the option ignored
+    assert main(["verify", "--claim", claim, *option]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(name in captured.err for name in verify.SEARCH_CLAIMS)
 
 
 def _fake_claim(*oks, stop=False, sleep=0.0):

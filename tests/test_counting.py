@@ -1,6 +1,7 @@
 """Copy counting via two independent routes plus the path helpers."""
 
 import random
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,36 @@ def test_copies_times_automorphisms_is_injective_homs():
         copies = count_copies(h, g)
         assert copies * automorphism_count(h) == count_injective_homs(h, g)
         assert copies == count_copies_brute(h, g)
+
+
+# Closed forms that neither route computes: they check each oracle
+# against something other than the production count.
+@pytest.mark.parametrize("n", range(1, 9))
+def test_brute_copies_in_complete_graphs_match_closed_forms(n):
+    for k in range(3, n + 1):
+        # a k-cycle is a k-subset with one of its (k - 1)!/2 cyclic orders
+        assert count_copies_brute(cycle_graph(k), complete_graph(n)) == (
+            comb(n, k) * factorial(k - 1) // 2)
+    # a 2-edge path is a 3-subset with a choice of middle vertex, and a
+    # 3-leaf star a 4-subset with a choice of centre
+    assert count_copies_brute(path_with_edges(2), complete_graph(n)) == 3 * comb(n, 3)
+    assert count_copies_brute(star_graph(3), complete_graph(n)) == 4 * comb(n, 4)
+
+
+def test_brute_copies_of_an_edgeless_pattern_are_vertex_subsets():
+    rng = random.Random(2718)
+    for _ in range(40):
+        g = _random_graph(rng, rng.randint(0, 8), rng.uniform(0.0, 1.0))
+        for k in range(0, 5):
+            assert count_copies_brute(empty_graph(k), g) == comb(g.n, k)
+
+
+def test_injective_homs_into_complete_graphs_are_falling_factorials():
+    rng = random.Random(3141)
+    for n in range(0, 9):
+        for _ in range(6):
+            h = _random_graph(rng, rng.randint(0, 6), rng.uniform(0.0, 1.0))
+            assert count_injective_homs(h, complete_graph(n)) == perm(n, h.n)
 
 
 @st.composite
