@@ -92,7 +92,10 @@ def parse_forbid(text: str | None) -> ForbiddenFamily:
 def _parse_range(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if m:
-        return int(m.group(1)), int(m.group(2))
+        lo, hi = int(m.group(1)), int(m.group(2))
+        if lo > hi:
+            raise UsageError(f"range {text!r} is reversed (expected lo..hi)")
+        return lo, hi
     m = re.fullmatch(r"\d+", text)
     if m:
         v = int(text)

@@ -6,10 +6,13 @@ the planarity/cycles/counting modules, never asserted blindly.  A
 builder that fails its own certification raises CertificationError:
 that is a bug or an impossible parameter choice, not a soft warning.
 
-Multiplicity conventions follow the source formulas: cycle blow-ups use
-floor(2n/k) - 1 copies, tree blow-ups floor(n/(2*beta)), and the
-parallel-path families use the largest multiplicity that fits n
-vertices.
+Every family sized by n is a base graph plus m copies: the blow-ups
+clone the vertices of an independent set of a tree or of C_k
+(`_blowup`), and the parallel-path families add m internally disjoint
+paths between fixed anchors (`_copies`).  Multiplicity conventions
+follow the source formulas: cycle blow-ups use floor(2n/k) - 1 copies,
+tree blow-ups floor(n/(2*beta)), and the parallel-path families use the
+largest multiplicity that fits n vertices.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import statistics
 from dataclasses import dataclass
 
 from .counting import count_copies
-from .cycles import ForbiddenFamily, is_family_free
+from .cycles import EMPTY_FAMILY, ForbiddenFamily, is_family_free
 from .graph import Graph, build_graph, cycle_graph, is_tree
 from .params import beta
 from .planarity import is_planar
@@ -53,11 +56,11 @@ class ConstructionOutput:
     certification: Certification
 
 
-def _certify(graph: Graph, family_lengths: tuple[int, ...], pattern: Graph,
-             pattern_name: str, declared: int, exact: bool,
-             count_cap: int) -> Certification:
+def _certify(graph: Graph, labels: dict[str, int], family: ForbiddenFamily,
+             pattern: Graph, pattern_name: str, declared: int, exact: bool,
+             count_cap: int) -> ConstructionOutput:
     planar_ok = is_planar(graph).is_planar
-    family_free = is_family_free(graph, ForbiddenFamily(frozenset(family_lengths)))
+    family_free = is_family_free(graph, family)
     computed: int | None = None
     count_ok = True
     if graph.n <= count_cap:
@@ -68,8 +71,9 @@ def _certify(graph: Graph, family_lengths: tuple[int, ...], pattern: Graph,
             f"certification failed for {pattern_name} construction on "
             f"{graph.n} vertices: planar={planar_ok}, family_free={family_free}, "
             f"declared={declared}, computed={computed}")
-    return Certification(planar_ok, family_lengths, family_free, pattern_name,
-                         declared, computed, exact)
+    return ConstructionOutput(graph, labels, Certification(
+        planar_ok, family.sorted_lengths, family_free, pattern_name,
+        declared, computed, exact))
 
 
 # ======================================================================
@@ -99,6 +103,34 @@ def blowup_independent_set(g: Graph, s, m: int) -> Graph:
     return build_graph(nid, edges)
 
 
+def _blowup(base: Graph, members: list[int], m: int,
+            prefix: str) -> tuple[Graph, dict[str, int]]:
+    """blowup_independent_set(base, members, m) with labels: base vertex
+    i is f"{prefix}{i}" and clone j of member v is f"{prefix}{v}.{j}"."""
+    graph = blowup_independent_set(base, members, m)
+    clones = [f"{prefix}{v}.{j}" for v in sorted(set(members)) for j in range(1, m)]
+    labels = {f"{prefix}{i}": i for i in range(base.n)}
+    labels.update(zip(clones, range(base.n, graph.n)))
+    return graph, labels
+
+
+def _copies(edges: list, labels: dict[str, int], nid: int, name: str,
+            length: int, copies, start, end) -> int:
+    """For each j in `copies`, add a path of `length` new vertices from id
+    `nid` on, vertex p labelled f"{name}.{j}.{p}", its first vertex
+    joined to every id in `start` and its last to every id in `end`.
+    Returns the next free id."""
+    for j in copies:
+        ids = range(nid, nid + length)
+        nid += length
+        for p, v in enumerate(ids):
+            labels[f"{name}.{j}.{p}"] = v
+        edges.extend(zip(ids, ids[1:]))
+        edges.extend((a, ids[0]) for a in start)
+        edges.extend((ids[-1], b) for b in end)
+    return nid
+
+
 # ======================================================================
 # Families
 # ======================================================================
@@ -117,15 +149,9 @@ def tree_beta_blowup(t: Graph, n: int, *,
     b = wit.value
     chosen = sorted(c[0] for c in wit.components)
     m = n // (2 * b)
-    graph = blowup_independent_set(t, chosen, m)
-    labels = {f"v{i}": i for i in range(t.n)}
-    nid = t.n
-    for v in chosen:
-        for j in range(1, m):
-            labels[f"v{v}.{j}"] = nid
-            nid += 1
-    cert = _certify(graph, (), t, "tree", m ** b, False, count_cap)
-    return ConstructionOutput(graph, labels, cert)
+    graph, labels = _blowup(t, chosen, m, "v")
+    return _certify(graph, labels, EMPTY_FAMILY, t, "tree", m ** b, False,
+                    count_cap)
 
 
 def cycle_blowup(k: int, n: int, *,
@@ -139,20 +165,14 @@ def cycle_blowup(k: int, n: int, *,
     m = max(1, 2 * n // k - 1)
     base = cycle_graph(k)
     s = list(range(1, k, 2)) if k % 2 == 0 else list(range(1, k - 1, 2))
-    graph = blowup_independent_set(base, s, m)
+    graph, labels = _blowup(base, s, m, "x")
     if graph.n > n:
         raise ConstructionError("blow-up exceeded the vertex budget")
-    labels = {f"x{i}": i for i in range(k)}
-    nid = k
-    for v in s:
-        for j in range(1, m):
-            labels[f"x{v}.{j}"] = nid
-            nid += 1
     # k = 4 is special: both blown classes share both junctions (K_{2,2m}),
     # so pairs within one class also close 4-cycles.
     declared = m * (2 * m - 1) if k == 4 else m ** (k // 2)
-    cert = _certify(graph, (), base, f"C{k}", declared, True, count_cap)
-    return ConstructionOutput(graph, labels, cert)
+    return _certify(graph, labels, EMPTY_FAMILY, base, f"C{k}", declared,
+                    True, count_cap)
 
 
 def _path_order(t: Graph, comp: tuple[int, ...]) -> list[int]:
@@ -196,23 +216,16 @@ def even_tree_parallel_paths(t: Graph, ell: int, n: int, *,
     for ci, comp in enumerate(wit.components):
         order = _path_order(t, comp)
         inside = set(comp)
-        start_anchors = [w for w in t.adj[order[0]] if w not in inside]
-        end_anchors = [w for w in t.adj[order[-1]] if w not in inside]
-        for j in range(1, m):
-            ids = list(range(nid, nid + len(order)))
-            nid += len(order)
-            for pos, vid in enumerate(ids):
-                labels[f"c{ci}.{j}.{pos}"] = vid
-            edges.extend((ids[p], ids[p + 1]) for p in range(len(ids) - 1))
-            edges.extend((a, ids[0]) for a in start_anchors)
-            if len(ids) > 1:
-                edges.extend((a, ids[-1]) for a in end_anchors)
+        # a one-vertex component has the same anchors at both ends;
+        # build_graph collapses the repeated edges
+        nid = _copies(edges, labels, nid, f"c{ci}", len(order), range(1, m),
+                      [w for w in t.adj[order[0]] if w not in inside],
+                      [w for w in t.adj[order[-1]] if w not in inside])
     graph = build_graph(nid, edges)
     if graph.n > n:
         raise ConstructionError("parallel copies exceeded the vertex budget")
-    family = tuple(range(4, 2 * ell + 1, 2))
-    cert = _certify(graph, family, t, "tree", m ** b, False, count_cap)
-    return ConstructionOutput(graph, labels, cert)
+    return _certify(graph, labels, ForbiddenFamily.even_cycles_through(ell),
+                    t, "tree", m ** b, False, count_cap)
 
 
 def pentagon_extremal(t: int, s: int, *,
@@ -249,9 +262,8 @@ def pentagon_extremal(t: int, s: int, *,
         edges.append((z, x5 if i % 4 in (0, 1) else x3))
         prev_z = z
     graph = build_graph(nid, edges)
-    cert = _certify(graph, (4,), cycle_graph(5), "C5", graph.n - 4, True,
-                    count_cap)
-    return ConstructionOutput(graph, labels, cert)
+    return _certify(graph, labels, ForbiddenFamily.of_lengths(4),
+                    cycle_graph(5), "C5", graph.n - 4, True, count_cap)
 
 
 def _segment_lengths(k: int) -> list[int]:
@@ -280,13 +292,7 @@ def ck_c4free_parallel(k: int, n: int, *,
         j0, j1, arc = 0, 1, 2
         edges = [(j0, arc), (arc, j1)]
         labels = {"J0": j0, "J1": j1, "A.0": arc}
-        nid = 3
-        for j in range(m):
-            a, b = nid, nid + 1
-            nid += 2
-            labels[f"P0.{j}.0"] = a
-            labels[f"P0.{j}.1"] = b
-            edges += [(j0, a), (a, b), (b, j1)]
+        nid = _copies(edges, labels, 3, "P0", 2, range(m), [j0], [j1])
         graph = build_graph(nid, edges)
         declared = m
     else:
@@ -300,21 +306,14 @@ def ck_c4free_parallel(k: int, n: int, *,
         labels = {f"J{i}": i for i in range(q)}
         nid = q
         for si, length in enumerate(segments):
-            a, b = si, (si + 1) % q
-            for j in range(m):
-                ids = list(range(nid, nid + length - 1))
-                nid += length - 1
-                for pos, vid in enumerate(ids):
-                    labels[f"P{si}.{j}.{pos}"] = vid
-                chain = [a] + ids + [b]
-                edges.extend((chain[p], chain[p + 1]) for p in range(len(chain) - 1))
+            nid = _copies(edges, labels, nid, f"P{si}", length - 1, range(m),
+                          [si], [(si + 1) % q])
         graph = build_graph(nid, edges)
         declared = 2 * m * m - m if k == 6 else m ** q
     if graph.n > n:
         raise ConstructionError("bundles exceeded the vertex budget")
-    cert = _certify(graph, (4,), cycle_graph(k), f"C{k}", declared, True,
-                    count_cap)
-    return ConstructionOutput(graph, labels, cert)
+    return _certify(graph, labels, ForbiddenFamily.of_lengths(4),
+                    cycle_graph(k), f"C{k}", declared, True, count_cap)
 
 
 def conjecture_family(k: int, ell: int, n: int, *,
@@ -335,30 +334,18 @@ def conjecture_family(k: int, ell: int, n: int, *,
     # fixed backbone: separators S0..S_{b-1}; remainder arc R0..R_{r-1}
     # cyclic order: [run 0] S0 [run 1] S1 ... [run b-1] S_{b-1} R0..R_{r-1}
     labels = {f"S{i}": i for i in range(b)}
-    for j in range(r):
-        labels[f"R{j}"] = b + j
-    edges = []
-    if r:
-        chain = [b - 1] + [b + j for j in range(r)]
-        edges.extend((chain[p], chain[p + 1]) for p in range(len(chain) - 1))
+    labels.update((f"R{j}", b + j) for j in range(r))
+    edges = list(zip(range(b - 1, fixed - 1), range(b, fixed)))  # S_{b-1} R0..
     nid = fixed
     for run in range(b):
         before = (b + r - 1) if (run == 0 and r) else (run - 1) % b
-        after = run
-        for j in range(m):
-            ids = list(range(nid, nid + ell))
-            nid += ell
-            for pos, vid in enumerate(ids):
-                labels[f"W{run}.{j}.{pos}"] = vid
-            chain = [before] + ids + [after]
-            edges.extend((chain[p], chain[p + 1]) for p in range(len(chain) - 1))
+        nid = _copies(edges, labels, nid, f"W{run}", ell, range(m), [before],
+                      [run])
     graph = build_graph(nid, edges)
     if graph.n > n:
         raise ConstructionError("parallel runs exceeded the vertex budget")
-    family = tuple(range(4, 2 * ell + 1, 2))
-    cert = _certify(graph, family, cycle_graph(k), f"C{k}", m ** b, False,
-                    count_cap)
-    return ConstructionOutput(graph, labels, cert)
+    return _certify(graph, labels, ForbiddenFamily.even_cycles_through(ell),
+                    cycle_graph(k), f"C{k}", m ** b, False, count_cap)
 
 
 # ======================================================================
@@ -399,6 +386,11 @@ def build_construction(spec: ConstructionSpec, n: int | None = None,
     if missing:
         raise ConstructionError(
             f"family {spec.family!r} needs parameter {missing[0]!r}")
+    unread = [name for name in p if name not in names]
+    if unread:
+        raise ConstructionError(
+            f"family {spec.family!r} takes only {', '.join(names)}; "
+            f"got {', '.join(map(repr, unread))}")
     return builder(*(p[name] for name in names), count_cap=count_cap)
 
 
@@ -420,8 +412,6 @@ def growth_probe(spec: ConstructionSpec, n_values: list[int]) -> GrowthProbe:
     for n in sorted(set(n_values)):
         # builders never exceed their budget n, so a cap of n always recounts
         c = build_construction(spec, n=n, count_cap=n).certification.computed_count
-        if c is None:
-            raise ConstructionError(f"family {spec.family!r} is not sized by n")
         if c > 0:
             points.append((n, c))
     if len(points) < 3:

@@ -68,7 +68,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_vertices < 1 or self.parallel_width < 1:
             raise ValueError("budget values must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
+        # `not > 0` also refuses NaN, which every deadline test would ignore
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
 
 
@@ -179,17 +180,21 @@ def _check_n(n: int, budget: SearchBudget) -> None:
             f"to opt in to larger runs")
 
 
-def _grow(level: list[Graph], steps: int, family: ForbiddenFamily,
-          require_planar: bool, deadline: float | None) -> list[Graph]:
-    """Augment every graph of `level` by `steps` vertices.  Raises
-    SearchIncomplete once the monotonic deadline has passed."""
-    for _ in range(steps):
-        nxt: list[Graph] = []
-        for parent in level:
-            _check(deadline)
-            nxt.extend(_accepted_children(parent, family, require_planar))
-        level = nxt
-    return level
+def _grow(parent: Graph, steps: int, family: ForbiddenFamily,
+          require_planar: bool, require_connected: bool,
+          deadline: float | None):
+    """Yield the descendants of `parent` `steps` vertices down, depth
+    first (the order of building level by level too), only connected ones
+    with `require_connected`.  Raises SearchIncomplete once the deadline
+    has passed, checked before each graph is extended or yielded."""
+    _check(deadline)
+    if steps == 0:
+        if not require_connected or is_connected(parent):
+            yield parent
+        return
+    for child in _accepted_children(parent, family, require_planar):
+        yield from _grow(child, steps - 1, family, require_planar,
+                         require_connected, deadline)
 
 
 def _deadline(budget: SearchBudget) -> float | None:
@@ -223,15 +228,12 @@ def enumerate_constrained(n: int, family: ForbiddenFamily = EMPTY_FAMILY,
     """Yield one representative per isomorphism class of n-vertex graphs
     satisfying the constraints.  Raises SearchIncomplete once the
     budget's time limit passes, also between yielded classes, so a slow
-    consumer is stopped too; partial output is never silent."""
+    consumer is stopped too; partial output is never silent.  Classes
+    stream depth first, so the first arrives at once."""
     budget = budget or SearchBudget()
     _check_n(n, budget)
-    deadline = _deadline(budget)
-    for g in _grow([empty_graph(1)], n - 1, family, require_planar, deadline):
-        _check(deadline)
-        if require_connected and not is_connected(g):
-            continue
-        yield g
+    yield from _grow(empty_graph(1), n - 1, family, require_planar,
+                     require_connected, _deadline(budget))
 
 
 # ======================================================================
@@ -247,9 +249,8 @@ def _subtree_task(parent: Graph, *, steps: int, family: ForbiddenFamily,
     explored = 0
     best = -1
     witnesses: list[Graph] = []
-    for g in _grow([parent], steps, family, require_planar, deadline):
-        if require_connected and not is_connected(g):
-            continue
+    for g in _grow(parent, steps, family, require_planar, require_connected,
+                   deadline):
         explored += 1
         c = count_copies(pattern, g)
         if c > best:
@@ -294,8 +295,8 @@ def extremal_number(n: int, pattern: Graph | Pattern,
     found: list[Graph] = []
     status = "complete"
     try:
-        trunk = _grow([empty_graph(1)], split - 1, family, require_planar,
-                      deadline)
+        trunk = list(_grow(empty_graph(1), split - 1, family, require_planar,
+                           False, deadline))
         # fork starts every worker at the first map, so cap them at the tasks
         width = min(budget.parallel_width, len(trunk))
         pool = ProcessPoolExecutor(max_workers=width) if width > 1 else None

@@ -126,6 +126,15 @@ def test_construct_usage_errors(capsys):
     assert main(["construct", "--family", "cycle_blowup",
                  "--params", "k=two", "--n", "16"]) == EXIT_USAGE
     capsys.readouterr()
+    # parameters the family does not read are refused, not ignored
+    for argv in (["--family", "pentagon_extremal", "--params", "t=1,s=1,foo=3"],
+                 ["--family", "pentagon_extremal", "--params", "t=1,s=1",
+                  "--n", "99"],
+                 ["--family", "cycle_blowup", "--params", "k=6,ell=9",
+                  "--n", "24"]):
+        assert main(["construct"] + argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "takes only" in captured.err
 
 
 def test_search_command(capsys):
@@ -351,15 +360,17 @@ def test_table_beta(tmp_path, capsys):
         assert row["beta"] == 1 + (k + ell - 1) // (ell + 1)
 
 
-def test_table_empty_range_writes_header_only(tmp_path, capsys):
-    base = tmp_path / "empty"
-    code = main(["table", "--spec", "beta graph=path k=2..1 ell=1..1",
-                 "--output", str(base)])
-    capsys.readouterr()
-    assert code == EXIT_PASS
-    with open(f"{base}.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows == [["k", "ell", "beta"]]
+@pytest.mark.parametrize("spec", [
+    "beta graph=path k=2..1 ell=1..1",
+    "beta k=6..1",
+    "beta k=1..6 ell=3..1",
+    "extremal n=9..6",
+], ids=["beta-k-2..1", "beta-k-6..1", "beta-ell-3..1", "extremal-n-9..6"])
+def test_table_reversed_range_is_refused(tmp_path, capsys, spec):
+    base = tmp_path / "reversed"
+    assert main(["table", "--spec", spec, "--output", str(base)]) == EXIT_USAGE
+    assert "reversed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_table_usage_errors(capsys):
@@ -387,6 +398,8 @@ def test_output_flag_writes_file(tmp_path, capsys):
     ["search", "--n", "5", "--pattern", "C5", "--budget-seconds", "0"],
     ["search", "--n", "5", "--pattern", "C5", "--jobs", "0"],
     ["search", "--n", "5", "--pattern", "C5", "--max-vertices", "0"],
+    ["search", "--n", "6", "--pattern", "C5", "--forbid", "C4",
+     "--budget-seconds", "nan"],
 ])
 def test_refused_inputs_become_usage_exit(capsys, argv):
     assert main(argv) == EXIT_USAGE

@@ -5,6 +5,9 @@ recount cap) its own count before returning, so most tests only pin the
 frozen numbers and the failure modes.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from planar_turan.constructions import (
@@ -23,7 +26,7 @@ from planar_turan.constructions import (
     pentagon_extremal,
     tree_beta_blowup,
 )
-from planar_turan.cycles import ForbiddenFamily, is_family_free
+from planar_turan.cycles import EMPTY_FAMILY, ForbiddenFamily, is_family_free
 from planar_turan.graph import (
     build_graph,
     complete_bipartite,
@@ -32,7 +35,11 @@ from planar_turan.graph import (
     path_with_edges,
     star_graph,
 )
+from planar_turan.graph6 import from_graph6, to_graph6
 from planar_turan.planarity import is_planar
+from planar_turan.verify import CERTIFICATION_MATRIX
+
+CONSTRUCTION_CORPUS = Path(__file__).parent / "data" / "constructions.json"
 
 
 def test_blowup_independent_set():
@@ -179,10 +186,12 @@ def test_conjecture_family_validation():
 def test_certification_rejects_false_declarations():
     with pytest.raises(CertificationError, match="declared=5, computed=4"):
         # K4 has 4 triangles
-        _certify(complete_graph(4), (), cycle_graph(3), "C3", 5, True, 80)
+        _certify(complete_graph(4), {}, EMPTY_FAMILY, cycle_graph(3), "C3",
+                 5, True, 80)
     with pytest.raises(CertificationError, match="planar=False"):
         # planarity is checked unconditionally: K5's 10 triangles are right
-        _certify(complete_graph(5), (), cycle_graph(3), "C3", 10, True, 80)
+        _certify(complete_graph(5), {}, EMPTY_FAMILY, cycle_graph(3), "C3",
+                 10, True, 80)
 
 
 def test_count_cap_skips_recount():
@@ -212,6 +221,39 @@ def test_build_construction_errors():
         build_construction(ConstructionSpec("no_such_family", {}))
     with pytest.raises(ConstructionError):
         build_construction(ConstructionSpec("cycle_blowup", {}), n=16)
+    # a parameter the family does not read is refused, not ignored
+    for family, params, n, unread in (
+            ("pentagon_extremal", {"t": 1, "s": 1, "foo": 3}, None, "'foo'"),
+            ("pentagon_extremal", {"t": 1, "s": 1}, 99, "'n'"),
+            ("cycle_blowup", {"k": 6, "ell": 9}, 24, "'ell'"),
+            ("tree_beta_blowup", {"tree": path_with_edges(2), "k": 3}, 24, "'k'")):
+        names = ", ".join(CONSTRUCTION_FAMILIES[family][1])
+        with pytest.raises(ConstructionError) as info:
+            build_construction(ConstructionSpec(family, params), n=n)
+        assert names in str(info.value) and unread in str(info.value)
+
+
+def test_constructions_match_pinned_corpus():
+    # graph6, labels and certification of the certification matrix, then
+    # of the pentagon (t, s) grid 0..10, are pinned exactly
+    rows = json.loads(CONSTRUCTION_CORPUS.read_text())
+    instances = (list(CERTIFICATION_MATRIX)
+                 + [("pentagon_extremal", {"t": t, "s": s}, None)
+                    for t in range(11) for s in range(11)])
+    assert len(rows) == len(instances) == 191
+    for row, (family, params, n) in zip(rows, instances):
+        assert (row["family"], row["n"]) == (family, n)
+        assert {key: from_graph6(v) if key == "tree" else v
+                for key, v in row["params"].items()} == params
+        out = build_construction(ConstructionSpec(family, params), n=n)
+        cert = out.certification
+        assert to_graph6(out.graph) == row["graph6"], (family, params, n)
+        assert out.label_table == row["labels"], (family, params, n)
+        assert {"planar": cert.planar, "family": list(cert.family_lengths),
+                "family_free": cert.family_free, "pattern": cert.pattern_name,
+                "declared_count": cert.declared_count,
+                "computed_count": cert.computed_count,
+                "count_is_exact": cert.count_is_exact} == row["certification"]
 
 
 def test_constructions_are_planar_and_family_free():

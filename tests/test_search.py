@@ -178,6 +178,26 @@ def test_budget_validation():
         SearchBudget(parallel_width=0)
     with pytest.raises(ValueError):
         SearchBudget(time_limit=0.0)
+    # every deadline comparison with NaN is False, so it would never stop
+    with pytest.raises(ValueError, match="time_limit"):
+        SearchBudget(time_limit=float("nan"))
+    assert SearchBudget(time_limit=float("inf")).time_limit == float("inf")
+
+
+def test_enumeration_streams_the_first_class_at_once(monkeypatch):
+    # depth first, the first 7-vertex class needs one augmentation per
+    # level, not whole levels
+    calls = []
+    real = search._accepted_children
+
+    def counted(*args):
+        calls.append(args[0].n)
+        return real(*args)
+
+    monkeypatch.setattr(search, "_accepted_children", counted)
+    first = next(enumerate_constrained(7))
+    assert first.n == 7
+    assert calls == [1, 2, 3, 4, 5, 6]
 
 
 def test_extremal_pentagon_values():
