@@ -115,6 +115,8 @@ def _parse_params(text: str | None) -> dict:
         key, value = item.split("=", 1)
         key = key.strip()
         value = value.strip()
+        if key in out:
+            raise UsageError(f"parameter {key!r} is given twice")
         if key == "tree":
             out[key] = parse_pattern(value)
         else:
@@ -266,15 +268,27 @@ def _cmd_verify(args) -> int:
             "incomplete": EXIT_INCOMPLETE}[report.status]
 
 
+# the keys each table kind reads
+_TABLE_KEYS = {"extremal": ("n", "pattern", "forbid"),
+               "beta": ("k", "ell", "graph")}
+
+
 def _table_rows(spec_text: str, budget: SearchBudget):
     tokens = spec_text.split()
     if not tokens:
         raise UsageError("empty table spec")
     kind, kv = tokens[0], {}
+    if kind not in _TABLE_KEYS:
+        raise UsageError(f"unknown table kind {kind!r} (use extremal or beta)")
     for token in tokens[1:]:
         if "=" not in token:
             raise UsageError(f"table spec token {token!r} is not key=value")
         key, value = token.split("=", 1)
+        if key not in _TABLE_KEYS[kind]:
+            raise UsageError(f"{kind} table reads only "
+                             f"{', '.join(_TABLE_KEYS[kind])}, not {key!r}")
+        if key in kv:
+            raise UsageError(f"table spec gives {key!r} twice")
         kv[key] = value
     if kind == "extremal":
         lo, hi = _parse_range(kv.get("n", "4..7"))
@@ -298,22 +312,20 @@ def _table_rows(spec_text: str, budget: SearchBudget):
             rows.append([n, rec.max_count, rec.graphs_explored, rec.status,
                          ";".join(to_graph6(f.as_graph()) for f in rec.witnesses)])
         return header, rows
-    if kind == "beta":
-        klo, khi = _parse_range(kv.get("k", "1..6"))
-        elo, ehi = _parse_range(kv.get("ell", "1..3"))
-        shape = kv.get("graph", "path")
-        if shape not in ("path", "cycle"):
-            raise UsageError(f"beta table graph must be path or cycle, got {shape!r}")
-        if shape == "cycle" and klo < 3:
-            raise UsageError("cycle beta table needs k >= 3")
-        header = ["k", "ell", "beta"]
-        rows = []
-        for k in range(klo, khi + 1):
-            for ell in range(elo, ehi + 1):
-                g = path_with_edges(k) if shape == "path" else cycle_graph(k)
-                rows.append([k, ell, beta(g, ell).value])
-        return header, rows
-    raise UsageError(f"unknown table kind {kind!r} (use extremal or beta)")
+    klo, khi = _parse_range(kv.get("k", "1..6"))
+    elo, ehi = _parse_range(kv.get("ell", "1..3"))
+    shape = kv.get("graph", "path")
+    if shape not in ("path", "cycle"):
+        raise UsageError(f"beta table graph must be path or cycle, got {shape!r}")
+    if shape == "cycle" and klo < 3:
+        raise UsageError("cycle beta table needs k >= 3")
+    header = ["k", "ell", "beta"]
+    rows = []
+    for k in range(klo, khi + 1):
+        for ell in range(elo, ehi + 1):
+            g = path_with_edges(k) if shape == "path" else cycle_graph(k)
+            rows.append([k, ell, beta(g, ell).value])
+    return header, rows
 
 
 def _cmd_table(args) -> int:

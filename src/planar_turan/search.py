@@ -30,14 +30,23 @@ that pass the orbit test.
 
 Disconnected graphs are part of the search space: the extremal maximum
 quantifies over all graphs on n vertices, not only connected ones.
+
+`extremal_number` builds the trunk, every class two vertices short of
+n, in the calling process; one task per trunk graph then adds the last
+two vertices and scores the classes.  `_fan_out` shares the tasks between
+the caller and `parallel_width - 1` children forked from it, which
+share the trunk instead of receiving it pickled.  The fold of
+the results (sum, max, sorted witness set) does not depend on their
+order, so the record is the same at every width.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -261,15 +270,117 @@ def _subtree_task(parent: Graph, *, steps: int, family: ForbiddenFamily,
     return explored, best, witnesses
 
 
+def _fan_out(task, items, width: int):
+    """Yield task(item) for every item, run by the caller and width - 1
+    children forked from it; at width 1 this is the plain serial loop.
+
+    The processes take the items in order, one at a time (`_taken`), so
+    one that draws cheap items or runs on a fast core takes more.  Each
+    runs until its first exception; a child pickles what it finished and
+    that exception through its own pipe.  All finished results are
+    yielded, then a held SearchIncomplete is raised: the processes share
+    one deadline, so the caller waits for the children only until they
+    reach it.  Any other exception, in a child or in the caller, goes on
+    at once, after every child still running is killed and reaped."""
+    if width <= 1:
+        yield from map(task, items)
+        return
+    pids: list[int] = []
+    pipes: list[int] = []
+    turn = os.pipe()
+    os.write(turn[1], (0).to_bytes(4, "little"))
+    try:
+        for _ in range(1, width):
+            r, w = os.pipe()
+            pipes.append(r)
+            pid = os.fork()
+            if pid == 0:
+                _child(task, _taken(items, turn), pipes, w)
+            os.close(w)
+            pids.append(pid)
+        stop = None
+        try:
+            for item in _taken(items, turn):
+                yield task(item)
+        except SearchIncomplete as exc:
+            stop = exc
+        for pid, r in zip(list(pids), pipes):
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            pids.remove(pid)
+            if not data:
+                raise RuntimeError(
+                    f"search worker {pid} exited with code "
+                    f"{os.waitstatus_to_exitcode(status)} before it reported")
+            done, exc, trace = pickle.loads(data)
+            yield from done
+            if isinstance(exc, SearchIncomplete):
+                stop = stop or exc
+            elif exc is not None:
+                raise exc from RuntimeError(f"in search worker {pid}:\n{trace}")
+        if stop is not None:
+            raise stop
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in (*pipes, *turn):
+            os.close(fd)
+
+
+def _taken(items, turn: tuple[int, int]):
+    """The items this process takes: the pipe `turn` holds one 4-byte
+    index, and whoever reads it owns that item and writes back the next
+    index (a write this short is atomic), so no item goes to two
+    processes."""
+    while True:
+        i = int.from_bytes(os.read(turn[0], 4), "little")
+        os.write(turn[1], (i + 1).to_bytes(4, "little"))
+        if i >= len(items):
+            return
+        yield items[i]
+
+
+def _child(task, items, pipes: list[int], w: int) -> None:
+    """A forked worker: run task on items up to the first exception,
+    write (results, exception or None, its traceback) to fd w and exit,
+    never returning into the caller's frames."""
+    code = 1
+    try:
+        for r in pipes:
+            os.close(r)
+        done, exc, trace = [], None, ""
+        try:
+            for item in items:
+                done.append(task(item))
+        except Exception as err:
+            import traceback  # deferred: only a failing worker needs it
+            exc, trace = err, traceback.format_exc()
+        data = pickle.dumps((done, exc, trace))  # a failure here writes nothing
+        with open(w, "wb") as out:
+            out.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def extremal_number(n: int, pattern: Graph | Pattern,
                     family: ForbiddenFamily, budget: SearchBudget | None = None,
                     *, require_planar: bool = True,
                     require_connected: bool = False,
                     use_cache: bool = True) -> ExtremalRecord:
     """Exact maximum of the pattern count over every (planar) family-free
-    graph on n vertices, with all maximizing classes as witnesses."""
+    graph on n vertices, with all maximizing classes as witnesses.
+
+    A `parallel_width` above 1 forks workers, so it needs `os.fork` and
+    is refused where there is none.  An incomplete record folds every
+    trunk task that some process finished before the deadline."""
     budget = budget or SearchBudget()
     _check_n(n, budget)
+    if budget.parallel_width > 1 and not hasattr(os, "fork"):
+        raise ValueError("parallel_width > 1 forks workers, and os.fork is "
+                         "not available on this platform; use width 1")
     if isinstance(pattern, Graph):
         pattern = Pattern.from_graph(pattern)
     # The cache record holds neither the connectivity filter nor extra
@@ -297,21 +408,14 @@ def extremal_number(n: int, pattern: Graph | Pattern,
     try:
         trunk = list(_grow(empty_graph(1), split - 1, family, require_planar,
                            False, deadline))
-        # fork starts every worker at the first map, so cap them at the tasks
         width = min(budget.parallel_width, len(trunk))
-        pool = ProcessPoolExecutor(max_workers=width) if width > 1 else None
-        try:
-            results = pool.map(task, trunk) if pool else map(task, trunk)
-            for sub_explored, sub_best, sub_found in results:
-                explored += sub_explored
-                if sub_best > best:
-                    best = sub_best
-                    found = sub_found
-                elif sub_best == best:
-                    found.extend(sub_found)
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+        for sub_explored, sub_best, sub_found in _fan_out(task, trunk, width):
+            explored += sub_explored
+            if sub_best > best:
+                best = sub_best
+                found = sub_found
+            elif sub_best == best:
+                found.extend(sub_found)
     except SearchIncomplete:
         status = "incomplete"
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import time
 
 import pytest
@@ -135,6 +136,21 @@ def test_construct_usage_errors(capsys):
         assert main(["construct"] + argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "takes only" in captured.err
+
+
+def test_construct_refuses_a_repeated_parameter(capsys):
+    assert main(["construct", "--family", "cycle_blowup", "--params", "k=6,k=7",
+                 "--n", "24"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'k' is given twice" in captured.err
+
+
+def test_search_refuses_workers_without_fork(monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    assert main(["search", "--n", "5", "--pattern", "C5", "--forbid", "C4",
+                 "--jobs", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "os.fork" in captured.err
 
 
 def test_search_command(capsys):
@@ -370,6 +386,21 @@ def test_table_reversed_range_is_refused(tmp_path, capsys, spec):
     base = tmp_path / "reversed"
     assert main(["table", "--spec", spec, "--output", str(base)]) == EXIT_USAGE
     assert "reversed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("extremal n=5 patern=C3 forbid=", "not 'patern'"),
+    ("extremal n=5 n=6", "'n' twice"),
+    ("extremal n=5 k=3", "not 'k'"),
+    ("beta k=1..3 k=4", "'k' twice"),
+    ("beta n=4", "not 'n'"),
+    ("beta ell=1 graph=path graph=cycle", "'graph' twice"),
+])
+def test_table_refuses_repeated_and_unread_keys(tmp_path, capsys, spec, message):
+    base = tmp_path / "t"
+    assert main(["table", "--spec", spec, "--output", str(base)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

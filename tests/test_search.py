@@ -9,6 +9,7 @@ class counts carry the check to n = 6 and 7.
 import json
 import os
 import time
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -20,8 +21,8 @@ from planar_turan.canonical import (canonical_form, canonical_search,
                                     orbit_roots, root_partition)
 from planar_turan.counting import Pattern
 from planar_turan.cycles import EMPTY_FAMILY, ForbiddenFamily, is_family_free
-from planar_turan.graph import (build_graph, cycle_graph, is_connected,
-                                path_with_edges)
+from planar_turan.graph import (build_graph, cycle_graph, empty_graph,
+                                is_connected, path_with_edges)
 from planar_turan.graph6 import from_graph6, to_graph6
 from planar_turan.planarity import is_planar
 from planar_turan.search import (
@@ -231,31 +232,147 @@ def test_extremal_deterministic_across_widths():
     assert serial.graphs_explored == parallel.graphs_explored
 
 
-def test_pool_width_is_capped_at_the_task_count(monkeypatch):
-    widths = []
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    class SerialPool:
-        """Records the width asked for and maps in this process."""
 
-        def __init__(self, max_workers):
-            widths.append(max_workers)
+def test_fan_out_width_is_capped_at_the_task_count(monkeypatch):
+    forks = []
+    real_fork = os.fork
 
-        def map(self, fn, items):
-            return map(fn, items)
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-        def shutdown(self, cancel_futures=False):
-            pass
-
+    monkeypatch.setattr(search.os, "fork", fork)
     serial = extremal_number(5, cycle_graph(5), C4_FREE, use_cache=False)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    assert forks == []  # width 1 is the serial loop
     wide = extremal_number(5, cycle_graph(5), C4_FREE,
                            SearchBudget(parallel_width=64), use_cache=False)
-    # the trunk at n = 5 is the four graphs on 3 vertices
-    assert widths == [4]
+    # the trunk at n = 5 is the four graphs on 3 vertices: the caller
+    # runs one task and forks a child for each of the other three
+    assert len(forks) == 3
     assert wide == serial and wide.witnesses == serial.witnesses
-    extremal_number(6, cycle_graph(5), C4_FREE,
-                    SearchBudget(parallel_width=2), use_cache=False)
-    assert widths == [4, 2]
+    two = extremal_number(6, cycle_graph(5), C4_FREE,
+                          SearchBudget(parallel_width=2), use_cache=False)
+    assert len(forks) == 4
+    assert two == extremal_number(6, cycle_graph(5), C4_FREE, use_cache=False)
+    _no_child_left()
+
+
+def _square(x):
+    return x * x
+
+
+def _one_each(caller, sync, in_child, x):
+    """The caller's item waits until a child has taken one, so with two
+    items the caller and one child run one each."""
+    if os.getpid() == caller:
+        os.read(sync[0], 1)
+        return x
+    os.write(sync[1], b".")
+    return in_child(x)
+
+
+def _boom(x):
+    raise ValueError("boom")
+
+
+def _exit_3(x):
+    os._exit(3)
+
+
+def _in_caller_else_sleep(error, caller, x):
+    if os.getpid() != caller:
+        time.sleep(60)
+    elif error is not None:
+        raise error("caller")
+    return x
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8])
+def test_fan_out_runs_every_item_once(width):
+    got = list(search._fan_out(_square, list(range(10)), width))
+    assert sorted(got) == [x * x for x in range(10)]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("in_child, error, message", [
+    (_boom, ValueError, "^boom$"),
+    (_exit_3, RuntimeError, "exited with code 3 before it reported"),
+])
+def test_fan_out_raises_what_went_wrong_in_a_child(in_child, error, message):
+    sync = os.pipe()
+    try:
+        task = partial(_one_each, os.getpid(), sync, in_child)
+        with pytest.raises(error, match=message) as info:
+            list(search._fan_out(task, [0, 1], 2))
+    finally:
+        for fd in sync:
+            os.close(fd)
+    if in_child is _boom:  # the child's traceback rides along
+        assert "_boom" in str(info.value.__cause__)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
+def test_fan_out_kills_the_children_when_the_caller_fails(error):
+    # each child sleeps on the one item it holds, so the caller takes one
+    start = time.monotonic()
+    with pytest.raises(error, match="caller"):
+        list(search._fan_out(partial(_in_caller_else_sleep, error, os.getpid()),
+                             list(range(10)), 3))
+    assert time.monotonic() - start < 10
+    _no_child_left()
+
+
+def test_fan_out_kills_the_children_when_the_consumer_stops():
+    start = time.monotonic()
+    results = search._fan_out(partial(_in_caller_else_sleep, None, os.getpid()),
+                              list(range(10)), 3)
+    assert next(results) in range(10)  # the caller's, while children sleep
+    results.close()
+    assert time.monotonic() - start < 10
+    _no_child_left()
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("k", [2, 3])
+def test_incomplete_record_folds_every_finished_task(monkeypatch, width, k):
+    # at n = 7 the trunk is the planar C4-free graphs on 5 vertices, and
+    # each task adds two vertices; the k-th task stops its process
+    pattern = Pattern.from_graph(cycle_graph(5))
+    trunk = list(search._grow(empty_graph(1), 4, C4_FREE, True, False, None))
+    real = search._subtree_task
+    scans = [real(g, steps=2, family=C4_FREE, require_planar=True,
+                  require_connected=False, pattern=pattern, deadline=None)
+             for g in trunk]
+
+    def task(parent, **kw):
+        if parent == trunk[k]:
+            raise SearchIncomplete("stopped")
+        return real(parent, **kw)
+
+    monkeypatch.setattr(search, "_subtree_task", task)
+    rec = extremal_number(7, pattern, C4_FREE,
+                          SearchBudget(parallel_width=width), use_cache=False)
+    # alone, the process stops after the prefix; at width 2 the other
+    # process takes every task left
+    finished = range(k) if width == 1 else set(range(len(trunk))) - {k}
+    assert rec.status == "incomplete"
+    assert rec.graphs_explored == sum(scans[i][0] for i in finished)
+    assert rec.max_count == max(scans[i][1] for i in finished)
+    _no_child_left()
+
+
+def test_width_above_one_is_refused_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="os.fork"):
+        extremal_number(5, cycle_graph(5), C4_FREE,
+                        SearchBudget(parallel_width=2), use_cache=False)
+    rec = extremal_number(5, cycle_graph(5), C4_FREE, use_cache=False)
+    assert rec.status == "complete"
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -279,6 +396,7 @@ def test_extremal_time_limit_bounds_wall_time_with_workers():
                           use_cache=False)
     assert rec.status == "incomplete"
     assert time.monotonic() - start < 1.5
+    _no_child_left()
 
 
 def test_extremal_extra_patterns_match_brute_force():
