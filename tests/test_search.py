@@ -250,8 +250,8 @@ def test_fan_out_width_is_capped_at_the_task_count(monkeypatch):
     assert forks == []  # width 1 is the serial loop
     wide = extremal_number(5, cycle_graph(5), C4_FREE,
                            SearchBudget(parallel_width=64), use_cache=False)
-    # the trunk at n = 5 is the four graphs on 3 vertices: the caller
-    # runs one task and forks a child for each of the other three
+    # the trunk at n = 5 is the four graphs on 3 vertices, so the width
+    # is capped at 4: the caller and three forked children
     assert len(forks) == 3
     assert wide == serial and wide.witnesses == serial.witnesses
     two = extremal_number(6, cycle_graph(5), C4_FREE,
