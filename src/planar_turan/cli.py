@@ -273,13 +273,17 @@ _TABLE_KEYS = {"extremal": ("n", "pattern", "forbid"),
                "beta": ("k", "ell", "graph")}
 
 
-def _table_rows(spec_text: str, budget: SearchBudget):
-    tokens = spec_text.split()
+def _table_rows(args):
+    tokens = args.spec.split()
     if not tokens:
         raise UsageError("empty table spec")
     kind, kv = tokens[0], {}
     if kind not in _TABLE_KEYS:
         raise UsageError(f"unknown table kind {kind!r} (use extremal or beta)")
+    if kind == "beta" and (args.max_vertices, args.jobs,
+                           args.budget_seconds) != (None, None, None):
+        raise UsageError("a beta table runs no search, so it reads none of "
+                         "--max-vertices, --jobs and --budget-seconds")
     for token in tokens[1:]:
         if "=" not in token:
             raise UsageError(f"table spec token {token!r} is not key=value")
@@ -297,6 +301,7 @@ def _table_rows(spec_text: str, budget: SearchBudget):
         family = parse_forbid(kv.get("forbid", "C4"))
         header = ["n", "max_count", "graphs_explored", "status", "witnesses"]
         rows = []
+        budget = _budget(args)
         # the rows share the time limit; once it has passed, each size
         # left is still checked and listed, as an incomplete row with
         # nothing scanned
@@ -329,7 +334,7 @@ def _table_rows(spec_text: str, budget: SearchBudget):
 
 
 def _cmd_table(args) -> int:
-    header, rows = _table_rows(args.spec, _budget(args))
+    header, rows = _table_rows(args)
     records = [dict(zip(header, r)) for r in rows]
     base = args.output
     try:

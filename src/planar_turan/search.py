@@ -35,9 +35,12 @@ quantifies over all graphs on n vertices, not only connected ones.
 n, in the calling process; one task per trunk graph then adds the last
 two vertices and scores the classes.  `_fan_out` shares the tasks between
 the caller and `parallel_width - 1` children forked from it, which
-share the trunk instead of receiving it pickled.  The fold of
-the results (sum, max, sorted witness set) does not depend on their
-order, so the record is the same at every width.
+share the trunk instead of receiving it pickled.  Every task index is
+in a pipe before the first fork and each process only reads from it,
+so a process that dies holding a task makes the caller raise instead
+of leaving the others waiting.  The fold of the results (sum, max,
+sorted witness set) does not depend on their order, so the record is
+the same at every width.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import json
 import os
 import pickle
 import signal
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -75,6 +79,9 @@ class SearchBudget:
     parallel_width: int = 1
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.max_vertices, int)
+                and isinstance(self.parallel_width, int)):
+            raise ValueError("max_vertices and parallel_width must be integers")
         if self.max_vertices < 1 or self.parallel_width < 1:
             raise ValueError("budget values must be positive")
         # `not > 0` also refuses NaN, which every deadline test would ignore
@@ -274,33 +281,37 @@ def _fan_out(task, items, width: int):
     """Yield task(item) for every item, run by the caller and width - 1
     children forked from it; at width 1 this is the plain serial loop.
 
-    The processes take the items in order, one at a time (`_taken`), so
-    one that draws cheap items or runs on a fast core takes more.  Each
-    runs until its first exception; a child pickles what it finished and
-    that exception through its own pipe.  All finished results are
-    yielded, then a held SearchIncomplete is raised: the processes share
-    one deadline, so the caller waits for the children only until they
-    reach it.  Any other exception, in a child or in the caller, goes on
-    at once, after every child still running is killed and reaped."""
+    The processes take the items one at a time (`_taken`), each up to
+    its first exception; a child pickles what it finished and that
+    exception through its own pipe, and one that dies first leaves the
+    pipe empty, which raises.  All finished results are yielded, then a
+    held SearchIncomplete is raised: the processes share one deadline,
+    so the caller waits for the children only until they reach it.  Any
+    other exception, in a child or in the caller, goes on at once, after
+    every child still running is killed and reaped."""
     if width <= 1:
         yield from map(task, items)
         return
     pids: list[int] = []
     pipes: list[int] = []
-    turn = os.pipe()
-    os.write(turn[1], (0).to_bytes(4, "little"))
+    tasks, fill = os.pipe()
     try:
+        with open(fill, "wb", buffering=0) as out:
+            os.set_blocking(fill, False)  # too long a list fails, not blocks
+            index = b"".join(i.to_bytes(4, "little") for i in range(len(items)))
+            if out.write(index) != len(index):
+                raise ValueError(f"{len(items)} tasks do not fit in the task pipe")
         for _ in range(1, width):
             r, w = os.pipe()
             pipes.append(r)
             pid = os.fork()
             if pid == 0:
-                _child(task, _taken(items, turn), pipes, w)
+                _child(task, _taken(items, tasks), pipes, w)
             os.close(w)
             pids.append(pid)
         stop = None
         try:
-            for item in _taken(items, turn):
+            for item in _taken(items, tasks):
                 yield task(item)
         except SearchIncomplete as exc:
             stop = exc
@@ -325,21 +336,17 @@ def _fan_out(task, items, width: int):
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for fd in (*pipes, *turn):
+        for fd in (*pipes, tasks):
             os.close(fd)
 
 
-def _taken(items, turn: tuple[int, int]):
-    """The items this process takes: the pipe `turn` holds one 4-byte
-    index, and whoever reads it owns that item and writes back the next
-    index (a write this short is atomic), so no item goes to two
-    processes."""
-    while True:
-        i = int.from_bytes(os.read(turn[0], 4), "little")
-        os.write(turn[1], (i + 1).to_bytes(4, "little"))
-        if i >= len(items):
-            return
-        yield items[i]
+def _taken(items, tasks: int):
+    """The items this process takes: each 4-byte read of the task pipe
+    is one item's index, in order, and end of file means none is left.
+    Filled and closed for writing before the first fork, the pipe gives
+    no item to two processes and makes none wait on another."""
+    while index := os.read(tasks, 4):
+        yield items[int.from_bytes(index, "little")]
 
 
 def _child(task, items, pipes: list[int], w: int) -> None:
@@ -374,13 +381,18 @@ def extremal_number(n: int, pattern: Graph | Pattern,
     graph on n vertices, with all maximizing classes as witnesses.
 
     A `parallel_width` above 1 forks workers, so it needs `os.fork` and
-    is refused where there is none.  An incomplete record folds every
-    trunk task that some process finished before the deadline."""
+    is refused where there is none, or when the caller runs other
+    threads, which a fork would not copy.  An incomplete record folds
+    every trunk task that some process finished before the deadline."""
     budget = budget or SearchBudget()
     _check_n(n, budget)
     if budget.parallel_width > 1 and not hasattr(os, "fork"):
         raise ValueError("parallel_width > 1 forks workers, and os.fork is "
                          "not available on this platform; use width 1")
+    if budget.parallel_width > 1 and threading.active_count() > 1:
+        raise ValueError(f"parallel_width > 1 forks workers, and this process "
+                         f"runs {threading.active_count()} threads, of which a "
+                         f"fork copies only the calling one; use width 1")
     if isinstance(pattern, Graph):
         pattern = Pattern.from_graph(pattern)
     # The cache record holds neither the connectivity filter nor extra

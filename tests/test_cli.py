@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -151,6 +152,22 @@ def test_search_refuses_workers_without_fork(monkeypatch, capsys):
                  "--jobs", "2"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "os.fork" in captured.err
+
+
+def test_search_refuses_workers_while_another_thread_runs(capsys):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        code = main(["search", "--n", "5", "--pattern", "C5", "--forbid", "C4",
+                     "--jobs", "2"])
+    finally:
+        release.set()
+        thread.join(5)
+    assert not thread.is_alive()
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "use width 1" in captured.err
 
 
 def test_search_command(capsys):
@@ -374,6 +391,21 @@ def test_table_beta(tmp_path, capsys):
     for row in data["rows"]:
         k, ell = row["k"], row["ell"]
         assert row["beta"] == 1 + (k + ell - 1) // (ell + 1)
+
+
+@pytest.mark.parametrize("option", [
+    ["--jobs", "7"], ["--max-vertices", "3"], ["--budget-seconds", "0.000001"],
+    ["--jobs", "7", "--max-vertices", "3", "--budget-seconds", "0.000001"],
+], ids=["jobs", "max-vertices", "budget-seconds", "all-three"])
+def test_table_beta_refuses_the_search_options(tmp_path, capsys, option):
+    # a beta table runs no search, so it would write every row with the
+    # options ignored
+    base = tmp_path / "beta"
+    assert main(["table", "--spec", "beta graph=path k=1..3 ell=1..2", *option,
+                 "--output", str(base)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and option[0] in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("spec", [

@@ -8,6 +8,8 @@ class counts carry the check to n = 6 and 7.
 
 import json
 import os
+import signal
+import threading
 import time
 from functools import partial
 from itertools import combinations
@@ -183,6 +185,12 @@ def test_budget_validation():
     with pytest.raises(ValueError, match="time_limit"):
         SearchBudget(time_limit=float("nan"))
     assert SearchBudget(time_limit=float("inf")).time_limit == float("inf")
+    # a float width would reach range() inside the fan-out, after a pipe
+    # is opened, and fail there with TypeError
+    for name in ("max_vertices", "parallel_width"):
+        for value in (1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="must be integers"):
+                SearchBudget(**{name: value})
 
 
 def test_enumeration_streams_the_first_class_at_once(monkeypatch):
@@ -334,6 +342,84 @@ def test_fan_out_kills_the_children_when_the_consumer_stops():
     assert next(results) in range(10)  # the caller's, while children sleep
     results.close()
     assert time.monotonic() - start < 10
+    _no_child_left()
+
+
+def _ring(signum, frame):
+    raise TimeoutError("the search was still running after 5 s")
+
+
+@pytest.mark.parametrize("time_limit", [None, 1.0])
+def test_a_child_that_dies_holding_a_task_is_an_error_not_a_hang(
+        monkeypatch, time_limit):
+    # the child exits right after its second read of the task pipe, with
+    # an index in hand; the caller reads a little slower, so that the
+    # child gets that far before the caller has taken every task
+    caller = os.getpid()
+    reads = []
+    real_read = os.read
+
+    def read(fd, size):
+        if os.getpid() == caller:
+            time.sleep(0.005)
+            return real_read(fd, size)
+        data = real_read(fd, size)
+        reads.append(data)
+        if len(reads) == 2:
+            os._exit(9)
+        return data
+
+    monkeypatch.setattr(search.os, "read", read)
+    old = signal.signal(signal.SIGALRM, _ring)
+    signal.alarm(5)  # a hang fails the test instead of stalling the suite
+    start = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="code 9 before it reported"):
+            extremal_number(8, cycle_graph(5), C4_FREE,
+                            SearchBudget(time_limit=time_limit,
+                                         parallel_width=2),
+                            use_cache=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert time.monotonic() - start < 2
+    _no_child_left()
+
+
+def test_fan_out_refuses_a_task_list_that_does_not_fit_before_forking(
+        monkeypatch):
+    # 20 000 four-byte indices overflow a 64 KiB pipe
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(search.os, "fork", fork)
+    before = sorted(os.listdir("/dev/fd"))
+    with pytest.raises(ValueError, match="20000 tasks do not fit"):
+        list(search._fan_out(_square, list(range(20_000)), 2))
+    assert forks == []
+    assert sorted(os.listdir("/dev/fd")) == before
+
+
+def test_width_above_one_is_refused_while_another_thread_runs():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with pytest.raises(ValueError, match="threads.*use width 1"):
+            extremal_number(6, cycle_graph(5), C4_FREE,
+                            SearchBudget(parallel_width=2), use_cache=False)
+        serial = extremal_number(6, cycle_graph(5), C4_FREE, use_cache=False)
+    finally:
+        release.set()
+        thread.join(5)
+    assert not thread.is_alive()
+    assert serial == extremal_number(6, cycle_graph(5), C4_FREE,
+                                     SearchBudget(parallel_width=2),
+                                     use_cache=False)
     _no_child_left()
 
 
