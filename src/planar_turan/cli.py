@@ -135,8 +135,10 @@ def _budget(args, default_cap: int = DEFAULT_VERTEX_CAP) -> SearchBudget:
                         parallel_width=1 if jobs is None else jobs)
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(args, payload: dict | str) -> None:
+    """Write a JSON payload, or text as it is, to --output or stdout."""
+    text = payload if isinstance(payload, str) else json.dumps(
+        payload, indent=2, sort_keys=True)
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -190,13 +192,9 @@ def _cmd_params(args) -> int:
     if is_tree(g) and g.n > 1:
         part = tree_partition(g, args.ell)
         payload["tree_partition"] = {
-            "leaves": sorted(part.leaves),
-            "branch_vertices": sorted(part.branch_vertices),
-            "deep_degree_two": sorted(part.deep_degree_two),
-            "chain_middles": sorted(part.chain_middles),
-            "other_degree_two": sorted(part.other_degree_two),
-            "forest_vertices": sorted(part.forest_vertices),
-        }
+            name: sorted(getattr(part, name))
+            for name in ("leaves", "branch_vertices", "deep_degree_two",
+                         "chain_middles", "other_degree_two", "forest_vertices")}
     _emit(args, payload)
     return EXIT_PASS
 
@@ -209,12 +207,7 @@ def _cmd_construct(args) -> int:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
     if args.format == "graph6":
-        text = to_graph6(out.graph)
-        if args.output:
-            with open(args.output, "w", encoding="ascii") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _emit(args, to_graph6(out.graph))
     else:
         cert = out.certification
         _emit(args, {

@@ -175,23 +175,6 @@ def cycle_blowup(k: int, n: int, *,
                     True, count_cap)
 
 
-def _path_order(t: Graph, comp: tuple[int, ...]) -> list[int]:
-    """Order the vertices of a path component from one endpoint."""
-    if len(comp) == 1:
-        return [comp[0]]
-    inside = set(comp)
-    ends = [v for v in comp if sum(1 for w in t.adj[v] if w in inside) == 1]
-    start = min(ends)
-    order = [start]
-    prev = None
-    cur = start
-    while len(order) < len(comp):
-        nxt = next(w for w in t.adj[cur] if w in inside and w != prev)
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return order
-
-
 def even_tree_parallel_paths(t: Graph, ell: int, n: int, *,
                              count_cap: int = COUNT_CERT_CAP) -> ConstructionOutput:
     """Replace each component of a beta_ell witness of the tree by parallel
@@ -214,13 +197,14 @@ def even_tree_parallel_paths(t: Graph, ell: int, n: int, *,
     labels = {f"v{i}": i for i in range(t.n)}
     nid = t.n
     for ci, comp in enumerate(wit.components):
-        order = _path_order(t, comp)
         inside = set(comp)
-        # a one-vertex component has the same anchors at both ends;
-        # build_graph collapses the repeated edges
-        nid = _copies(edges, labels, nid, f"c{ci}", len(order), range(1, m),
-                      [w for w in t.adj[order[0]] if w not in inside],
-                      [w for w in t.adj[order[-1]] if w not in inside])
+        # the copies need only the path's two ends, the smaller first; a
+        # one-vertex component is both, and build_graph collapses the
+        # repeated edges of its anchors
+        ends = [v for v in comp if sum(w in inside for w in t.adj[v]) <= 1]
+        nid = _copies(edges, labels, nid, f"c{ci}", len(comp), range(1, m),
+                      [w for w in t.adj[min(ends)] if w not in inside],
+                      [w for w in t.adj[max(ends)] if w not in inside])
     graph = build_graph(nid, edges)
     if graph.n > n:
         raise ConstructionError("parallel copies exceeded the vertex budget")

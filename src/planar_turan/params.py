@@ -10,7 +10,9 @@ pieces, so beta is a sum over pieces.  Each path piece is one scan in
 walk order (last vertex unchosen, a chosen singleton, or a chosen run
 of length 1..i); a cycle piece is a whole component of h, and any i + 1
 consecutive vertices of it hold an unchosen one, so it is scanned as a
-path opened at each of those.
+path opened at each of those.  The witness's components are the runs
+of chosen vertices along the pieces, and tree_partition reads its deep
+vertices and chain middles off the same pieces.
 
 The witness is the lexicographically first optimal set: over the
 degree-<=2 vertices in ascending id, each vertex is taken whenever
@@ -21,6 +23,8 @@ constructions build their hosts from this set, so it must not change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .graph import Graph, induced_subgraph, is_tree
 
@@ -74,7 +78,7 @@ def beta(h: Graph, i: int) -> BetaWitness:
     if h.n > _BETA_CAP:
         raise ValueError(f"beta search is capped at {_BETA_CAP} vertices (got {h.n})")
     total = 0
-    mask = 0
+    comps = []
     for seq, closed in _pieces(h):
         low = [h.degree(v) <= 1 for v in seq]
         force: list[bool | None] = [None] * len(seq)
@@ -85,10 +89,15 @@ def beta(h: Graph, i: int) -> BetaWitness:
             force[pos] = True
             if _piece_best(low, force, closed, i) != best:
                 force[pos] = False
-            else:
-                mask |= 1 << seq[pos]
         total += best
-    return BetaWitness(total, _components_of_mask(h, mask))
+        # the components are the runs of chosen vertices; a cycle is read
+        # from its first unchosen vertex, which every valid choice has
+        k = force.index(False) if closed else 0
+        for chosen, run in groupby(zip(force[k:] + force[:k], seq[k:] + seq[:k]),
+                                   key=itemgetter(0)):
+            if chosen:
+                comps.append(tuple(sorted(v for _, v in run)))
+    return BetaWitness(total, tuple(sorted(comps)))
 
 
 def _pieces(h: Graph) -> list[tuple[list[int], bool]]:
@@ -142,26 +151,6 @@ def _path_best(low: list[bool], force: list[bool | None], i: int) -> int:
     return max(out, single, runs[-1])
 
 
-def _components_of_mask(h: Graph, mask: int) -> tuple[tuple[int, ...], ...]:
-    comps = []
-    seen = 0
-    for v in range(h.n):
-        if not mask >> v & 1 or seen >> v & 1:
-            continue
-        stack = [v]
-        seen |= 1 << v
-        comp = []
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for w in h.adj[x]:
-                if mask >> w & 1 and not seen >> w & 1:
-                    seen |= 1 << w
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(sorted(comps))
-
-
 def tree_partition(t: Graph, ell: int) -> TreePartition:
     """Partition the vertices of a tree by the ell-dependent degree rules
     and build the induced path forest."""
@@ -172,53 +161,29 @@ def tree_partition(t: Graph, ell: int) -> TreePartition:
     deg = [t.degree(v) for v in range(t.n)]
     leaves = frozenset(v for v in range(t.n) if deg[v] <= 1)
     branch = frozenset(v for v in range(t.n) if deg[v] >= 3)
-    deg_two = [v for v in range(t.n) if deg[v] == 2]
-
-    # distance to nearest branch vertex, multi-source BFS
-    dist = [-1] * t.n
-    frontier = sorted(branch)
-    for v in frontier:
-        dist[v] = 0
-    d = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in t.adj[v]:
-                if dist[w] < 0:
-                    dist[w] = d + 1
-                    nxt.append(w)
-        frontier = nxt
-        d += 1
-    deep = frozenset(v for v in deg_two if dist[v] < 0 or dist[v] >= ell)
-
-    middles = set()
-    for a in sorted(branch):
-        for first in t.adj[a]:
-            if deg[first] != 2:
-                continue
-            # walk the degree-2 chain leaving a through first
-            internal = [first]
-            prev, cur = a, first
-            while deg[cur] == 2:
-                nxt = t.adj[cur][0] if t.adj[cur][0] != prev else t.adj[cur][1]
-                prev, cur = cur, nxt
-                if deg[cur] == 2:
-                    internal.append(cur)
-            b = cur
-            if b not in branch or a > b:
-                continue  # endpoint not branching, or chain handled from b
-            length = len(internal) + 1
-            if ell + 1 <= length <= 2 * ell - 1:
-                middles.add(internal[length // 2 - 1])
-    middles_f = frozenset(middles)
-    other = frozenset(v for v in deg_two if v not in deep and v not in middles_f)
-
-    forest_ids = tuple(sorted(leaves | deep | middles_f))
+    deep, middles = set(), set()
+    for seq, _ in _pieces(t):
+        # a degree-2 vertex reaches a branch vertex only along its piece,
+        # through a or b, the branch neighbours beyond its two ends
+        a, b = (next((u for u in t.adj[v] if u in branch), None)
+                for v in (seq[0], seq[-1]))
+        for p, v in enumerate(seq):
+            near = min(ell if a is None else p + 1, ell if b is None else len(seq) - p)
+            if deg[v] == 2 and near >= ell:
+                deep.add(v)
+        # a degree-2 piece between two branch vertices is one chain
+        length = len(seq) + 1
+        if (None not in (a, b) and deg[seq[0]] == 2
+                and ell + 1 <= length <= 2 * ell - 1):
+            middles.add((seq if a < b else seq[::-1])[length // 2 - 1])
+    other = frozenset(v for v in range(t.n) if deg[v] == 2) - deep - middles
+    forest_ids = tuple(sorted(leaves | deep | middles))
     forest = induced_subgraph(t, forest_ids)
     for v in range(forest.n):
         if forest.degree(v) > 2:
             raise RuntimeError("path forest construction produced degree > 2")
-    return TreePartition(leaves, branch, deep, middles_f, other, forest, forest_ids)
+    return TreePartition(leaves, branch, frozenset(deep), frozenset(middles),
+                         other, forest, forest_ids)
 
 
 def degeneracy(g: Graph) -> int:

@@ -515,7 +515,7 @@ def _cache_lookup(n: int, pattern: Pattern, family: ForbiddenFamily,
                        tuple(data["family"]), data["require_planar"])
                 if got == want and data["status"] == "complete":
                     return record_from_json(data)
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, AttributeError):
                 continue  # blank, torn or foreign line: the search recomputes it
     return None
 

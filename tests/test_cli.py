@@ -104,13 +104,19 @@ def test_construct_json(capsys):
     assert payload["certification"]["planar"] is True
 
 
-def test_construct_graph6(capsys):
-    code = main(["construct", "--family", "cycle_blowup", "--params", "k=4",
-                 "--n", "20", "--format", "graph6"])
+def test_construct_graph6(capsys, tmp_path):
+    argv = ["construct", "--family", "cycle_blowup", "--params", "k=4",
+            "--n", "20", "--format", "graph6"]
+    code = main(argv)
     assert code == EXIT_PASS
-    text = capsys.readouterr().out.strip()
-    g = parse_pattern(text)
+    printed = capsys.readouterr().out
+    g = parse_pattern(printed.strip())
     assert g.n == 20
+    # --output writes the same bytes as stdout
+    target = tmp_path / "out.g6"
+    assert main(argv + ["--output", str(target)]) == EXIT_PASS
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode("ascii")
 
 
 def test_construct_with_tree_param(capsys):

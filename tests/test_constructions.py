@@ -12,6 +12,7 @@ import pytest
 
 from planar_turan.constructions import (
     CONSTRUCTION_FAMILIES,
+    COUNT_CERT_CAP,
     Certification,
     CertificationError,
     ConstructionError,
@@ -37,6 +38,7 @@ from planar_turan.graph import (
 )
 from planar_turan.graph6 import from_graph6, to_graph6
 from planar_turan.planarity import is_planar
+from planar_turan.search import enumerate_constrained
 from planar_turan.verify import CERTIFICATION_MATRIX
 
 CONSTRUCTION_CORPUS = Path(__file__).parent / "data" / "constructions.json"
@@ -234,18 +236,28 @@ def test_build_construction_errors():
 
 
 def test_constructions_match_pinned_corpus():
-    # graph6, labels and certification of the certification matrix, then
-    # of the pentagon (t, s) grid 0..10, are pinned exactly
+    # graph6, labels and certification of the certification matrix, of
+    # the pentagon (t, s) grid 0..10, and of the parallel paths of the 23
+    # trees on 8 vertices at ell = 1..3, n = 24, are pinned exactly; the
+    # tree rows skip the recount (cap 0), which for the star K_{1,7} would
+    # walk C(21, 7) * 7! embeddings
     rows = json.loads(CONSTRUCTION_CORPUS.read_text())
-    instances = (list(CERTIFICATION_MATRIX)
-                 + [("pentagon_extremal", {"t": t, "s": s}, None)
-                    for t in range(11) for s in range(11)])
-    assert len(rows) == len(instances) == 191
-    for row, (family, params, n) in zip(rows, instances):
+    trees = sorted(to_graph6(t) for t in enumerate_constrained(
+        8, ForbiddenFamily.of_lengths(*range(3, 9)), require_connected=True))
+    instances = ([(*inst, COUNT_CERT_CAP) for inst in CERTIFICATION_MATRIX]
+                 + [("pentagon_extremal", {"t": t, "s": s}, None, COUNT_CERT_CAP)
+                    for t in range(11) for s in range(11)]
+                 + [("even_tree_parallel_paths",
+                     {"tree": from_graph6(tree), "ell": ell}, 24, 0)
+                    for tree in trees for ell in (1, 2, 3)])
+    assert len(trees) == 23
+    assert len(rows) == len(instances) == 260
+    for row, (family, params, n, cap) in zip(rows, instances):
         assert (row["family"], row["n"]) == (family, n)
         assert {key: from_graph6(v) if key == "tree" else v
                 for key, v in row["params"].items()} == params
-        out = build_construction(ConstructionSpec(family, params), n=n)
+        out = build_construction(ConstructionSpec(family, params), n=n,
+                                 count_cap=cap)
         cert = out.certification
         assert to_graph6(out.graph) == row["graph6"], (family, params, n)
         assert out.label_table == row["labels"], (family, params, n)

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planar_turan.bruteforce import beta_brute
+from planar_turan.cycles import ForbiddenFamily
 from planar_turan.graph import (
     build_graph,
     complete_bipartite,
@@ -22,7 +24,7 @@ from planar_turan.params import (
     min_edge_degree_sum,
     tree_partition,
 )
-from planar_turan.search import enumerate_constrained
+from planar_turan.search import SearchBudget, enumerate_constrained
 from planar_turan.verify import random_tree
 
 # few examples and no example database: tier-1 stays fast and leaves no files
@@ -256,6 +258,52 @@ def test_tree_partition_invariants():
 def _component_sets(g):
     from planar_turan.graph import connected_components
     return connected_components(g)
+
+
+def _distances(t, source):
+    dist = {source: 0}
+    queue = [source]
+    for v in queue:
+        for w in t.adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def _deep_and_middles_by_definition(t, ell):
+    """deep: degree 2 and BFS distance >= ell to every branch vertex (or
+    none exists); middles: for each chain between branch vertices a < b
+    of length in [ell + 1, 2*ell - 1], its internal vertex at index
+    length // 2 - 1 counted from a."""
+    branch = [v for v in range(t.n) if t.degree(v) >= 3]
+    dist = {c: _distances(t, c) for c in branch}
+    deep = {v for v in range(t.n) if t.degree(v) == 2
+            and all(dist[c][v] >= ell for c in branch)}
+    middles = set()
+    for a, b in combinations(branch, 2):
+        length = dist[a][b]
+        inner = sorted((v for v in range(t.n) if v not in (a, b)
+                        and dist[a][v] + dist[b][v] == length), key=dist[a].get)
+        if (ell + 1 <= length <= 2 * ell - 1
+                and all(t.degree(v) == 2 for v in inner)):
+            middles.add(inner[length // 2 - 1])
+    return deep, middles
+
+
+def test_tree_partition_matches_its_definitions():
+    trees = [t for n in range(1, 10)
+             for t in enumerate_constrained(
+                 n, ForbiddenFamily.of_lengths(*range(3, n + 1)),
+                 require_connected=True, budget=SearchBudget(max_vertices=9))]
+    assert len(trees) == 95
+    rng = random.Random(1818)
+    trees += [random_tree(rng, rng.randint(1, 24)) for _ in range(200)]
+    for t in trees:
+        for ell in range(1, 6):
+            part = tree_partition(t, ell)
+            deep, middles = _deep_and_middles_by_definition(t, ell)
+            assert (part.deep_degree_two, part.chain_middles) == (deep, middles)
 
 
 def test_tree_partition_validation():

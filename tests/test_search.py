@@ -569,6 +569,27 @@ def test_cache_survives_a_torn_line_and_recertifies_hits(tmp_path, monkeypatch):
     assert recertified == [second]
 
 
+def test_cache_skips_a_line_whose_fields_have_the_wrong_type(tmp_path, monkeypatch):
+    monkeypatch.setenv("PLANAR_TURAN_CACHE", str(tmp_path))
+    cache = tmp_path / "extremal.jsonl"
+    extremal_number(5, cycle_graph(5), C4_FREE)
+    stored = json.loads(cache.read_text())
+    wrong_pattern = {"n": 5, "pattern": 5, "family": [4],
+                     "require_planar": True, "status": "complete"}
+    cache.write_text(json.dumps(wrong_pattern) + "\n"
+                     + json.dumps(dict(stored, witnesses=[7])) + "\n")
+    searched = []
+    real_grow = search._grow
+
+    def spy(*args, **kwargs):
+        searched.append(args)
+        return real_grow(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_grow", spy)
+    assert extremal_number(5, cycle_graph(5), C4_FREE).max_count == 1
+    assert searched  # both lines were skipped, so the record was recomputed
+
+
 def test_cache_path_that_is_a_file_is_refused(tmp_path, monkeypatch):
     path = tmp_path / "not-a-directory"
     path.write_text("")
