@@ -5,15 +5,27 @@ count_copies is the one place that picks the counter: a cycle pattern
 C_k goes to the cycle walker (`cycles.count_cycles`); any other pattern
 is counted as injective homomorphisms by backtracking in a
 connectivity-first vertex order with bitmask candidate filtering, then
-divided by |Aut(h)|.  The plain injective-homomorphism counter, its
-oracle, walks pattern vertices in id order over every host vertex with
-no candidate masks, probing edges on the host's bit rows, so the two
-sides share no pruning logic and can cross-check each other.
+divided by |Aut(h)|.
+
+The end of the order is counted, not walked.  When the order ends in
+t >= 2 degree-1 vertices whose one neighbour c is placed before them,
+the backtrack stops at the first of them and adds the falling factorial
+P(|N(image of c) minus the used vertices|, t).  Otherwise it stops at
+the last vertex and adds the number of its candidates whose host degree
+is at least its pattern degree.  Both are exact: the vertices counted
+this way are pairwise non-adjacent, so their only constraint is to be
+distinct inside one candidate set.
+
+The plain injective-homomorphism counter, its oracle, walks pattern
+vertices in id order over every host vertex with no candidate masks,
+probing edges on the host's bit rows, so the two sides share no
+pruning logic and can cross-check each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import perm
 
 from .canonical import automorphism_count
 from .cycles import ForbiddenFamily, count_cycles, is_family_free
@@ -73,13 +85,26 @@ def _count_embeddings(h: Graph, g: Graph, stop_at_first: bool = False) -> int:
     gdeg = [g.degree(w) for w in range(g.n)]
     full = (1 << g.n) - 1
     images = [0] * h.n
+    last = h.n - 1
+    # the host vertices that can take the last pattern vertex
+    wide = sum(1 << w for w in range(g.n) if gdeg[w] >= hdeg[last])
+    # the trailing run of degree-1 vertices on one placed neighbour
+    tail = last
+    while (tail > 0 and hdeg[tail - 1] == 1
+           and placed_nbrs[tail - 1] == placed_nbrs[last] != []):
+        tail -= 1
+    if tail == last:
+        tail = h.n  # no run of two or more: the last vertex closes alone
 
     def rec(i: int, used: int) -> int:
-        if i == h.n:
-            return 1
+        if i == tail:
+            hub = gbits[images[placed_nbrs[i][0]]]
+            return perm((hub & ~used).bit_count(), h.n - tail)
         cand = full & ~used
         for u in placed_nbrs[i]:
             cand &= gbits[images[u]]
+        if i == last:
+            return (cand & wide).bit_count()
         need = hdeg[i]
         v = order[i]
         total = 0

@@ -22,10 +22,27 @@ dense graphs cheap.  A vertex's sums are built only when it recurs, so
 the first visit under an anchor always goes direct.  k = 3 needs no
 walk: it is the number of ordered edges inside close.  has_cycle stops
 at the first non-zero leaf.
+
+For k >= 6 the walk also steps over parallel degree-2 chains at once.
+A chain runs from a vertex u of degree >= 3 through degree-2 vertices
+to a far end f != u of degree >= 3.  The chains of u with the same f
+and the same length L (edges) form a class; a class of one chain is
+walked as usual.  A walk that enters a chain is forced along it to f,
+so when f would land on v_j with j <= k - 4 (the closing step still
+runs from f or later) and f is unvisited and above a, the class is
+taken in one step: the walk recurses once into f with one member's
+internal vertices visited, and multiplies that count by the number of
+members whose internal vertices all lie above a.  This is exact.
+Swapping two members is an automorphism that fixes a and every other
+vertex and keeps the members' vertices above a, so every such member
+adds the same count; a member with a vertex at or below a adds none.
+k <= 5 leaves no room for a chain of length >= 2, so the C4 and C5
+walks never take this step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -62,6 +79,45 @@ class ForbiddenFamily:
 EMPTY_FAMILY = ForbiddenFamily(frozenset())
 
 
+def _chain_classes(g: Graph, longest: int) -> dict[int, tuple]:
+    """Vertex u -> its classes of two or more parallel degree-2 chains of
+    length at most `longest`, each as (far end, length, sorted minimum
+    internal ids, mask of first vertices, internal mask of the member
+    with the greatest minimum).  Chains between two vertices of degree
+    >= 3 count; a chain back to its own start or to a degree-1 vertex is
+    left out."""
+    adj = g.adj
+    links = [v for v, row in enumerate(adj) if len(row) == 2]
+    if len(links) < 2:
+        return {}
+    groups: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+    seen = 0
+    for v in links:
+        if seen >> v & 1:
+            continue
+        inner, ends = 1 << v, []
+        for cur in adj[v]:  # walk out to both ends of v's chain
+            prev = v
+            while len(adj[cur]) == 2 and cur != v:
+                inner |= 1 << cur
+                prev, cur = cur, adj[cur][adj[cur][0] == prev]
+            ends.append((cur, prev))  # an end and the chain's first vertex there
+        seen |= inner
+        (a, first_a), (b, first_b) = ends
+        if a != b and len(adj[a]) >= 3 and len(adj[b]) >= 3:
+            low, length = (inner & -inner).bit_length() - 1, inner.bit_count() + 1
+            groups.setdefault((a, b, length), []).append((low, 1 << first_a, inner))
+            groups.setdefault((b, a, length), []).append((low, 1 << first_b, inner))
+    out: dict[int, tuple] = {}
+    for (u, far, length), members in groups.items():
+        if len(members) > 1 and length <= longest:
+            members.sort()
+            out[u] = out.get(u, ()) + ((
+                far, length, tuple(low for low, _, _ in members),
+                sum(first for _, first, _ in members), members[-1][2]),)
+    return out
+
+
 def _walk_cycles(g: Graph, k: int, stop_at_first: bool) -> int:
     """The number of k-cycles; with `stop_at_first`, a positive number as
     soon as one is found (0 when there is none)."""
@@ -72,6 +128,8 @@ def _walk_cycles(g: Graph, k: int, stop_at_first: bool) -> int:
     bits = g.bits
     adj = g.adj
     last = k - 3  # the walk places v1, ..., v_{k-3} after the anchor
+    # a chain step needs placed + length <= last - 1 with length >= 2
+    chains = _chain_classes(g, last - 1) if last >= 3 else {}
     total = 0  # every cycle is counted once in each orientation
     for a in range(g.n - k + 1):
         above = -1 << (a + 1)
@@ -91,8 +149,21 @@ def _walk_cycles(g: Graph, k: int, stop_at_first: bool) -> int:
         def walk(cur: int, visited: int, placed: int) -> int:
             sub = 0
             if placed < last - 1:
+                skip = visited  # plus the first vertices of the classes taken
+                # `inner` belongs to the member with the greatest minimum
+                # id, which lies above a whenever any member's does
+                classes = chains[cur] if cur in chains else ()
+                for far, length, lows, firsts, inner in classes:
+                    if placed + length < last and far > a and not visited >> far & 1:
+                        skip |= firsts
+                        eligible = len(lows) - bisect_right(lows, a)
+                        if eligible:
+                            sub += eligible * walk(far, visited | inner | 1 << far,
+                                                   placed + length)
+                            if stop_at_first and sub:
+                                return sub
                 for w in adj[cur]:
-                    if w > a and not visited >> w & 1:
+                    if w > a and not skip >> w & 1:
                         sub += walk(w, visited | 1 << w, placed + 1)
                         if stop_at_first and sub:
                             return sub

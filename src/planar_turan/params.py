@@ -104,8 +104,9 @@ def _pieces(h: Graph) -> list[tuple[list[int], bool]]:
     """The paths and cycles of h restricted to its degree-<=2 vertices, each
     in walk order with a flag for cycles.  Paths are walked from an end;
     the vertices left over lie on cycles, each a whole component of h."""
-    nbrs = {v: [u for u in h.adj[v] if h.degree(u) <= 2]
-            for v in range(h.n) if h.degree(v) <= 2}
+    deg = [len(row) for row in h.adj]
+    nbrs = {v: [u for u in row if deg[u] <= 2]
+            for v, row in enumerate(h.adj) if deg[v] <= 2}
     ends = [v for v, near in nbrs.items() if len(near) < 2]
     seen: set[int] = set()
     pieces = []

@@ -6,6 +6,7 @@ frozen numbers and the failure modes.
 """
 
 import json
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,18 @@ def test_even_tree_parallel_paths():
     deep = even_tree_parallel_paths(path_with_edges(6), 3, 31)
     assert deep.certification.family_lengths == (4, 6)
     assert deep.certification.planar and deep.certification.family_free
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_even_tree_parallel_star_recount_matches_degree_oracle(ell):
+    # K1,7 with every leaf tripled: the recount must end, and a star's
+    # copies are the 7-subsets of one vertex's neighbourhood
+    star = from_graph6("G???F{")
+    assert star.degree_sequence() == (1,) * 7 + (7,)
+    out = even_tree_parallel_paths(star, ell, 24)
+    host = out.graph
+    assert out.certification.computed_count == sum(
+        comb(host.degree(v), 7) for v in range(host.n)) == comb(21, 7)
 
 
 def test_even_tree_validation():

@@ -63,6 +63,57 @@ def test_copies_times_automorphisms_is_injective_homs():
         assert copies == count_copies_brute(h, g)
 
 
+def _spider(legs):
+    """A centre 0 with one path of each given length hung on it."""
+    edges, n = [], 1
+    for length in legs:
+        path = [0, *range(n, n + length)]
+        edges += zip(path, path[1:])
+        n += length
+    return build_graph(n, edges)
+
+
+def _double_star(a, b):
+    """The edge 0-1 with a leaves on 0 and b leaves on 1."""
+    return build_graph(2 + a + b, [(0, 1)] + [(0, 2 + i) for i in range(a)]
+                       + [(1, 2 + a + i) for i in range(b)])
+
+
+# patterns whose embedding order ends in leaves on one vertex, in leaves
+# on two different vertices, or in isolated vertices
+LEAFY_PATTERNS = (
+    [star_graph(t) for t in range(1, 6)]
+    + [_spider(legs)
+       for legs in [(1, 1, 2), (2, 2, 1, 1), (1, 1, 1, 2), (2, 1), (3, 1, 1)]]
+    + [_double_star(a, b) for a, b in [(0, 2), (1, 1), (2, 2), (3, 1), (1, 3)]]
+    + [disjoint_union([h, empty_graph(r)]) for h in
+       [empty_graph(1), path_with_edges(1), path_with_edges(2), star_graph(3)]
+       for r in (1, 2)]
+    + [disjoint_union([path_with_edges(1), star_graph(2)])])
+
+
+def test_leafy_patterns_copies_times_automorphisms_is_injective_homs():
+    rng = random.Random(1729)
+    hosts = [star_graph(6), _double_star(3, 4), complete_graph(6), cycle_graph(7)]
+    hosts += [_random_graph(rng, rng.randint(3, 8), rng.uniform(0.2, 0.8))
+              for _ in range(12)]
+    for h in LEAFY_PATTERNS:
+        aut = automorphism_count(h)
+        for g in hosts:
+            homs = count_injective_homs(h, g)
+            assert count_copies(h, g) * aut == homs
+            assert has_injective_hom(h, g) == (homs > 0)
+
+
+def test_star_copies_are_neighbourhood_subsets():
+    rng = random.Random(4242)
+    for _ in range(20):
+        g = _random_graph(rng, rng.randint(1, 12), rng.uniform(0.2, 0.9))
+        for t in range(2, 8):
+            assert count_copies(star_graph(t), g) == sum(
+                comb(g.degree(v), t) for v in range(g.n))
+
+
 # Closed forms that neither route computes: they check each oracle
 # against something other than the production count.
 @pytest.mark.parametrize("n", range(1, 9))

@@ -54,6 +54,39 @@ def cycles_with_pendant_trees(draw):
     return k, build_graph(n, edges).relabel(perm)
 
 
+@st.composite
+def subdivided_multigraphs(draw, max_n=9):
+    """2-5 hubs joined by chains of 1-4 edges (parallel chains between
+    one pair of hubs, and loop chains of 3-4 edges back to one hub), with
+    pendant vertices, relabelled: the host shapes of the walker's chain
+    step, with anchors inside chains and members below the anchor."""
+    hubs = draw(st.integers(2, 5))
+    n, edges = hubs, []
+    for _ in range(draw(st.integers(1, 5))):
+        u, v = draw(st.integers(0, hubs - 1)), draw(st.integers(0, hubs - 1))
+        length = draw(st.integers(3 if u == v else 1, 4))
+        for _ in range(draw(st.integers(1, 3))):  # parallel chains
+            if n + length - 1 > max_n:
+                break
+            path = [u, *range(n, n + length - 1), v]
+            edges += zip(path, path[1:])
+            n += length - 1
+    while n < max_n and draw(st.booleans()):
+        edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    return build_graph(n, edges).relabel(draw(st.permutations(range(n))))
+
+
+def _theta(m, length):
+    """m internally disjoint paths of `length` edges between 0 and 1."""
+    edges, n = [], 2
+    for _ in range(m):
+        path = [0, *range(n, n + length - 1), 1]
+        edges += zip(path, path[1:])
+        n += length - 1
+    return build_graph(n, edges)
+
+
 def _wheel(rim):
     hub = rim
     return build_graph(rim + 1, list(cycle_graph(rim).edges)
@@ -237,7 +270,33 @@ def test_large_parallel_path_host_matches_closed_form():
 
 
 def test_large_cycle_blowup_matches_declared_count():
-    n = 96
-    out = cycle_blowup(8, n, count_cap=0)
-    m = 2 * n // 8 - 1
-    assert count_cycles(out.graph, 8) == out.certification.declared_count == m ** 4
+    # an 8-cycle picks one of the m twins in each of the four blown
+    # classes; 384 is the largest size of the growth-exponents sweep
+    for n in (96, 384):
+        out = cycle_blowup(8, n, count_cap=0)
+        m = 2 * n // 8 - 1
+        assert count_cycles(out.graph, 8) == out.certification.declared_count == m ** 4
+
+
+@PROPERTY
+@given(subdivided_multigraphs(), st.integers(3, 9))
+def test_property_subdivided_multigraphs_match_brute(g, k):
+    want = count_cycles_brute(g, k)
+    assert count_cycles(g, k) == want
+    assert has_cycle(g, k) == (want > 0)
+
+
+@pytest.mark.parametrize("length", range(2, 7))
+def test_theta_graphs_match_closed_form(length):
+    # two of the m paths make each cycle, so there are C(m, 2) of them,
+    # all of length 2 * length; relabelling puts the anchor inside a path
+    # and members of a parallel class below it
+    rng = random.Random(length)
+    for m in range(2, 6):
+        theta = _theta(m, length)
+        for g in [theta] + [theta.relabel(rng.sample(range(theta.n), theta.n))
+                            for _ in range(4)]:
+            for k in range(3, min(g.n, 2 * length + 3) + 1):
+                want = m * (m - 1) // 2 if k == 2 * length else 0
+                assert count_cycles(g, k) == want
+                assert has_cycle(g, k) == (want > 0)
