@@ -235,7 +235,7 @@ def _cmd_search(args) -> int:
     record = extremal_number(args.n, pattern, family, budget,
                              require_planar=not args.no_planar,
                              require_connected=args.connected)
-    _emit(args, record_to_json(record, require_planar=not args.no_planar))
+    _emit(args, record_to_json(record))
     return EXIT_PASS if record.status == "complete" else EXIT_INCOMPLETE
 
 

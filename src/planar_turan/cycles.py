@@ -5,39 +5,31 @@ a, v1, ..., v_{k-1} at its minimum vertex a and extends simple paths
 through vertices above a, in both orientations, up to v_{k-3}.  The
 last two vertices are closed there by counting the ordered pairs
 (w, c) with w an unvisited neighbour of v_{k-3} above a and c an
-unvisited neighbour of w in close = N(a) above a.  Each cycle is met
-once per orientation, so the total is halved at the end.
-
-The pair count has two exact evaluations, and each leaf takes the one
-that touches fewer vertices:
-
-- direct: the sum over the free w of |N(w) & close minus visited|;
-- two-step sums: s(x) = sum of |N(w) & close| over w in N(x) above a,
-  memoised per anchor, minus the visited w's terms, minus
-  |N(c) & free| for every visited c in close.
-
-The sums pay off where a hub recurs as v_{k-3} with many free
-neighbours (the parallel-path hosts); the direct route keeps small and
-dense graphs cheap.  A vertex's sums are built only when it recurs, so
-the first visit under an anchor always goes direct.  k = 3 needs no
-walk: it is the number of ordered edges inside close.  has_cycle stops
-at the first non-zero leaf.
+unvisited neighbour of w in close = N(a) above a, one popcount per
+free w.  Each cycle is met once per orientation, so the total is
+halved at the end.  k = 3 needs no walk: it is the number of ordered
+edges inside close.  has_cycle stops at the first v_{k-3} whose
+closing count is non-zero.
 
 For k >= 6 the walk also steps over parallel degree-2 chains at once.
 A chain runs from a vertex u of degree >= 3 through degree-2 vertices
 to a far end f != u of degree >= 3.  The chains of u with the same f
 and the same length L (edges) form a class; a class of one chain is
 walked as usual.  A walk that enters a chain is forced along it to f,
-so when f would land on v_j with j <= k - 4 (the closing step still
-runs from f or later) and f is unvisited and above a, the class is
-taken in one step: the walk recurses once into f with one member's
-internal vertices visited, and multiplies that count by the number of
-members whose internal vertices all lie above a.  This is exact.
-Swapping two members is an automorphism that fixes a and every other
-vertex and keeps the members' vertices above a, so every such member
-adds the same count; a member with a vertex at or below a adds none.
-k <= 5 leaves no room for a chain of length >= 2, so the C4 and C5
-walks never take this step.
+so when f would land on v_j with j <= k - 3 and f is unvisited and
+above a, the class is taken in one step.  With one member's internal
+vertices visited, the walk recurses into f, or, when f lands on
+v_{k-3}, counts the closing pairs at f once; that count is multiplied
+by the number of members whose internal vertices all lie above a.
+This is exact.  Swapping two members is an automorphism that fixes a
+and every other vertex and keeps the members' vertices above a, so
+every such member adds the same count; a member with a vertex at or
+below a adds none.  The unchosen members stay unvisited, so they may
+serve as the closing w and c (from u = a, a 6-cycle through two
+members of length 3); the swap carries those pairs along on both
+sides, so the counts still agree.  k = 4 leaves no room for a chain
+of length >= 2, and at k = 5 only a chain from the anchor landing on
+v2 would fit, so the C4 and C5 walks build no classes.
 """
 
 from __future__ import annotations
@@ -128,8 +120,8 @@ def _walk_cycles(g: Graph, k: int, stop_at_first: bool) -> int:
     bits = g.bits
     adj = g.adj
     last = k - 3  # the walk places v1, ..., v_{k-3} after the anchor
-    # a chain step needs placed + length <= last - 1 with length >= 2
-    chains = _chain_classes(g, last - 1) if last >= 3 else {}
+    # a chain step needs placed + length <= last with length >= 2
+    chains = _chain_classes(g, last) if last >= 3 else {}
     total = 0  # every cycle is counted once in each orientation
     for a in range(g.n - k + 1):
         above = -1 << (a + 1)
@@ -142,71 +134,51 @@ def _walk_cycles(g: Graph, k: int, stop_at_first: bool) -> int:
             if stop_at_first and total:
                 return total
             continue
-        # x -> sum of |N(w) & close| over w in N(x) above a; None after
-        # the first time x is v_{k-3}
-        sums: dict[int, int | None] = {}
 
-        def walk(cur: int, visited: int, placed: int) -> int:
+        def closing(xs: int, visited: int) -> int:
+            # ordered triples (x, w, c): x in xs is v_{k-3}, w an unvisited
+            # neighbour of x above a, c an unvisited neighbour of w in close
             sub = 0
-            if placed < last - 1:
-                skip = visited  # plus the first vertices of the classes taken
-                # `inner` belongs to the member with the greatest minimum
-                # id, which lies above a whenever any member's does
-                classes = chains[cur] if cur in chains else ()
-                for far, length, lows, firsts, inner in classes:
-                    if placed + length < last and far > a and not visited >> far & 1:
-                        skip |= firsts
-                        eligible = len(lows) - bisect_right(lows, a)
-                        if eligible:
-                            sub += eligible * walk(far, visited | inner | 1 << far,
-                                                   placed + length)
-                            if stop_at_first and sub:
-                                return sub
-                for w in adj[cur]:
-                    if w > a and not skip >> w & 1:
-                        sub += walk(w, visited | 1 << w, placed + 1)
-                        if stop_at_first and sub:
-                            return sub
-                return sub
-            for x in adj[cur]:  # x = v_{k-3}, the last placed vertex
-                if x <= a or visited >> x & 1:
-                    continue
-                # ordered pairs (w, c): w in N(x) above a, c in N(w) & close,
-                # both unvisited
-                seen = visited | 1 << x
-                ahead = bits[x] & above
-                free = ahead & ~seen
-                if not free:
-                    continue
-                used = ahead ^ free
-                blocked = close & seen
-                if x not in sums:
-                    sums[x] = None
-                    direct = True
-                else:
-                    direct = free.bit_count() <= used.bit_count() + blocked.bit_count()
-                if direct:
-                    gate = close & ~seen
-                    while free:
-                        low = free & -free
-                        sub += (bits[low.bit_length() - 1] & gate).bit_count()
-                        free ^= low
-                else:
-                    pairs = sums[x]
-                    if pairs is None:
-                        pairs = sums[x] = sum((bits[w] & close).bit_count()
-                                              for w in adj[x] if w > a)
-                    while used:
-                        low = used & -used
-                        pairs -= (bits[low.bit_length() - 1] & close).bit_count()
-                        used ^= low
-                    while blocked:
-                        low = blocked & -blocked
-                        pairs -= (bits[low.bit_length() - 1] & free).bit_count()
-                        blocked ^= low
-                    sub += pairs
+            while xs:
+                x = xs & -xs
+                xs ^= x
+                seen = visited | x
+                free = bits[x.bit_length() - 1] & above & ~seen
+                gate = close & ~seen
+                while free:
+                    w = free & -free
+                    sub += (bits[w.bit_length() - 1] & gate).bit_count()
+                    free ^= w
                 if stop_at_first and sub:
                     return sub
+            return sub
+
+        def walk(cur: int, visited: int, placed: int) -> int:
+            if placed == last - 1:
+                return closing(bits[cur] & above & ~visited, visited)
+            sub = 0
+            skip = visited  # plus the first vertices of the classes taken
+            # `inner` belongs to the member with the greatest minimum id,
+            # which lies above a whenever any member's does
+            classes = chains[cur] if cur in chains else ()
+            for far, length, lows, firsts, inner in classes:
+                if placed + length <= last and far > a and not visited >> far & 1:
+                    skip |= firsts
+                    eligible = len(lows) - bisect_right(lows, a)
+                    if not eligible:
+                        continue
+                    if placed + length < last:
+                        sub += eligible * walk(far, visited | inner | 1 << far,
+                                               placed + length)
+                    else:  # far lands on v_{k-3}
+                        sub += eligible * closing(1 << far, visited | inner)
+                    if stop_at_first and sub:
+                        return sub
+            for w in adj[cur]:
+                if w > a and not skip >> w & 1:
+                    sub += walk(w, visited | 1 << w, placed + 1)
+                    if stop_at_first and sub:
+                        return sub
             return sub
 
         total += walk(a, 1 << a, 0)

@@ -99,6 +99,8 @@ class ExtremalRecord:
     graphs_explored: int
     elapsed: float = field(compare=False)
     status: str = "complete"  # "complete" or "incomplete"
+    require_planar: bool = True
+    require_connected: bool = False
 
 
 # ======================================================================
@@ -174,8 +176,6 @@ def _accepted_children(parent: Graph, family: ForbiddenFamily,
             _, pos, generators = canonical_search(child, cells)
             last = pos.index(n)
             if last != n:
-                if not generators:
-                    continue
                 root = orbit_roots(n + 1, generators)
                 if root[last] != root[n]:
                     continue
@@ -395,13 +395,13 @@ def extremal_number(n: int, pattern: Graph | Pattern,
                          f"fork copies only the calling one; use width 1")
     if isinstance(pattern, Graph):
         pattern = Pattern.from_graph(pattern)
-    # The cache record holds neither the connectivity filter nor extra
+    # The cache key holds neither the connectivity filter nor extra
     # patterns, so such searches are never cached.
     use_cache = (use_cache and not require_connected
                  and not family.extra_patterns)
     cached = _cache_lookup(n, pattern, family, require_planar) if use_cache else None
     if cached is not None:
-        _recertify(cached, require_planar)
+        _recertify(cached)
         return cached
     start = time.monotonic()
     deadline = _deadline(budget)
@@ -434,19 +434,21 @@ def extremal_number(n: int, pattern: Graph | Pattern,
     best = max(best, 0)  # -1 means no class was scanned, so found is empty
     witnesses = tuple(sorted({canonical_form(g) for g in found}))
     record = ExtremalRecord(n, pattern, family, best, witnesses, explored,
-                            time.monotonic() - start, status)
+                            time.monotonic() - start, status,
+                            require_planar, require_connected)
     if status == "complete":
-        _recertify(record, require_planar)
+        _recertify(record)
         if use_cache:
-            _cache_store(record, require_planar)
+            _cache_store(record)
     return record
 
 
-def _recertify(record: ExtremalRecord, require_planar: bool) -> None:
+def _recertify(record: ExtremalRecord) -> None:
     for form in record.witnesses:
         g = form.as_graph()
         ok = (is_family_free(g, record.family)
-              and (not require_planar or is_planar(g).is_planar)
+              and (not record.require_planar or is_planar(g).is_planar)
+              and (not record.require_connected or is_connected(g))
               and count_copies(record.pattern, g) == record.max_count)
         if not ok:
             raise RuntimeError(f"witness failed re-certification: {to_graph6(g)}")
@@ -456,13 +458,14 @@ def _recertify(record: ExtremalRecord, require_planar: bool) -> None:
 # JSON-lines cache and record serialization
 # ======================================================================
 
-def record_to_json(record: ExtremalRecord, require_planar: bool = True) -> dict:
+def record_to_json(record: ExtremalRecord) -> dict:
     return {
         "n": record.n,
         "pattern": to_graph6(record.pattern.graph),
         "pattern_name": record.pattern.name,
         "family": list(record.family.sorted_lengths),
-        "require_planar": require_planar,
+        "require_planar": record.require_planar,
+        "require_connected": record.require_connected,
         "max_count": record.max_count,
         "witnesses": [to_graph6(f.as_graph()) for f in record.witnesses],
         "graphs_explored": record.graphs_explored,
@@ -477,9 +480,12 @@ def record_from_json(data: dict) -> ExtremalRecord:
     family = ForbiddenFamily(frozenset(data["family"]))
     witnesses = tuple(sorted(canonical_form(from_graph6(s))
                              for s in data["witnesses"]))
+    # connected searches were never cached, so old lines lack the flag
     return ExtremalRecord(data["n"], pattern, family, data["max_count"],
                           witnesses, data["graphs_explored"],
-                          data["elapsed"], data["status"])
+                          data["elapsed"], data["status"],
+                          data["require_planar"],
+                          data.get("require_connected", False))
 
 
 def _cache_file() -> str | None:
@@ -520,10 +526,10 @@ def _cache_lookup(n: int, pattern: Pattern, family: ForbiddenFamily,
     return None
 
 
-def _cache_store(record: ExtremalRecord, require_planar: bool) -> None:
+def _cache_store(record: ExtremalRecord) -> None:
     path = _cache_file()
     if path is None:
         return
     with open(path, "a", encoding="ascii") as fh:
-        fh.write(json.dumps(record_to_json(record, require_planar),
+        fh.write(json.dumps(record_to_json(record),
                             sort_keys=True) + "\n")

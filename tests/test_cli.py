@@ -200,6 +200,14 @@ def test_search_connected_flag(capsys):
     assert payload["max_count"] > 0
 
 
+def test_search_json_names_the_search_flags(capsys):
+    code, payload = _run_json(capsys, ["search", "--n", "6", "--pattern", "C5",
+                                       "--no-planar", "--connected"])
+    assert code == EXIT_PASS
+    assert payload["require_planar"] is False
+    assert payload["require_connected"] is True
+
+
 def test_verify_command(capsys):
     code, payload = _run_json(capsys, ["verify", "--claim", "beta-closed-forms"])
     assert code == EXIT_PASS

@@ -252,8 +252,9 @@ def test_constructions_match_pinned_corpus():
     # graph6, labels and certification of the certification matrix, of
     # the pentagon (t, s) grid 0..10, and of the parallel paths of the 23
     # trees on 8 vertices at ell = 1..3, n = 24, are pinned exactly; the
-    # tree rows skip the recount (cap 0), which for the star K_{1,7} would
-    # walk C(21, 7) * 7! embeddings
+    # tree rows skip the recount (cap 0) because their pinned rows hold no
+    # computed count, though it is cheap now (the star K_{1,7} recounts
+    # its C(21, 7) copies in under a millisecond)
     rows = json.loads(CONSTRUCTION_CORPUS.read_text())
     trees = sorted(to_graph6(t) for t in enumerate_constrained(
         8, ForbiddenFamily.of_lengths(*range(3, 9)), require_connected=True))

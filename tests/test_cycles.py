@@ -236,8 +236,8 @@ def test_property_graph6_round_trip(case):
         "book6", "book6-spine-last"])
 def test_hub_heavy_hosts_match_brute(g):
     # hubs recur as the last walked vertex with many free neighbours, so
-    # most of these hosts reach the anchor's two-step sums as well as the
-    # direct leaf evaluation
+    # the closing count meets the same hub under many different visited
+    # sets
     for k in range(3, g.n + 1):
         want = count_cycles_brute(g, k)
         assert count_cycles(g, k) == want

@@ -6,6 +6,7 @@ That oracle is quadratic in 2^C(n,2), so it stops at n = 5; the known
 class counts carry the check to n = 6 and 7.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -519,6 +520,34 @@ def test_record_json_roundtrip():
     clone = record_from_json(json.loads(json.dumps(data)))
     assert clone == rec
     assert clone.witnesses == rec.witnesses
+
+
+@pytest.mark.parametrize("planar, connected",
+                         [(False, False), (True, True), (False, True)])
+def test_record_json_keeps_the_search_flags(planar, connected):
+    rec = extremal_number(5, cycle_graph(5), EMPTY_FAMILY,
+                          require_planar=planar, require_connected=connected)
+    assert (rec.require_planar, rec.require_connected) == (planar, connected)
+    data = json.loads(json.dumps(record_to_json(rec)))
+    assert (data["require_planar"], data["require_connected"]) == (planar, connected)
+    assert record_from_json(data) == rec
+
+
+def test_record_json_without_the_connected_flag_reads_unconnected():
+    data = record_to_json(extremal_number(5, cycle_graph(5), C4_FREE))
+    del data["require_connected"]
+    assert record_from_json(data).require_connected is False
+
+
+def test_recertify_refuses_a_disconnected_witness_of_a_connected_search():
+    rec = extremal_number(5, cycle_graph(3), EMPTY_FAMILY, require_connected=True)
+    search._recertify(rec)
+    two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    forged = dataclasses.replace(rec, n=6, max_count=2,
+                                 witnesses=(canonical_form(two_triangles),))
+    with pytest.raises(RuntimeError, match="re-certification"):
+        search._recertify(forged)
+    search._recertify(dataclasses.replace(forged, require_connected=False))
 
 
 def test_cache_roundtrip(tmp_path, monkeypatch):
