@@ -3,10 +3,6 @@
 Thin wrappers over the library: every subcommand parses arguments,
 calls one or two library operations, and serializes the result.  Exit
 codes are CI-oriented: 0 pass, 1 fail, 2 incomplete, 64 usage error.
-
-The cache directory for search results is taken from the environment
-variable PLANAR_TURAN_CACHE; when unset, nothing is cached, and a path
-that is not a usable directory is a usage error.
 """
 
 from __future__ import annotations
@@ -359,8 +355,7 @@ def _build_parser() -> _Parser:
                     "forbidden cycles: constructions, exhaustive search, "
                     "and verification sweeps.",
         epilog="Patterns accept shorthand (C5, P3 = path with 3 edges, K4, "
-               "K2_3) or graph6. Set PLANAR_TURAN_CACHE to a directory to "
-               "cache search results as JSON lines.")
+               "K2_3) or graph6.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("is-planar", help="planarity verdict for a graph")

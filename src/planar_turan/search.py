@@ -45,7 +45,6 @@ the same at every width.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import signal
@@ -60,10 +59,9 @@ from .counting import Pattern, count_copies
 from .cycles import (EMPTY_FAMILY, ForbiddenFamily, closing_partners,
                      is_family_free)
 from .graph import Graph, empty_graph, is_connected
-from .graph6 import from_graph6, to_graph6
+from .graph6 import to_graph6
 from .planarity import is_planar
 
-CACHE_ENV = "PLANAR_TURAN_CACHE"
 DEFAULT_VERTEX_CAP = 8
 HARD_VERTEX_CAP = 9
 
@@ -376,6 +374,7 @@ def extremal_number(n: int, pattern: Graph | Pattern,
                     family: ForbiddenFamily, budget: SearchBudget | None = None,
                     *, require_planar: bool = True,
                     require_connected: bool = False,
+                    # ignored; kept because perfbench/workloads.py passes it
                     use_cache: bool = True) -> ExtremalRecord:
     """Exact maximum of the pattern count over every (planar) family-free
     graph on n vertices, with all maximizing classes as witnesses.
@@ -395,14 +394,6 @@ def extremal_number(n: int, pattern: Graph | Pattern,
                          f"fork copies only the calling one; use width 1")
     if isinstance(pattern, Graph):
         pattern = Pattern.from_graph(pattern)
-    # The cache key holds neither the connectivity filter nor extra
-    # patterns, so such searches are never cached.
-    use_cache = (use_cache and not require_connected
-                 and not family.extra_patterns)
-    cached = _cache_lookup(n, pattern, family, require_planar) if use_cache else None
-    if cached is not None:
-        _recertify(cached)
-        return cached
     start = time.monotonic()
     deadline = _deadline(budget)
 
@@ -438,8 +429,6 @@ def extremal_number(n: int, pattern: Graph | Pattern,
                             require_planar, require_connected)
     if status == "complete":
         _recertify(record)
-        if use_cache:
-            _cache_store(record)
     return record
 
 
@@ -455,7 +444,7 @@ def _recertify(record: ExtremalRecord) -> None:
 
 
 # ======================================================================
-# JSON-lines cache and record serialization
+# Record serialization
 # ======================================================================
 
 def record_to_json(record: ExtremalRecord) -> dict:
@@ -472,64 +461,3 @@ def record_to_json(record: ExtremalRecord) -> dict:
         "elapsed": record.elapsed,
         "status": record.status,
     }
-
-
-def record_from_json(data: dict) -> ExtremalRecord:
-    pattern = Pattern.from_graph(from_graph6(data["pattern"]),
-                                 data.get("pattern_name"))
-    family = ForbiddenFamily(frozenset(data["family"]))
-    witnesses = tuple(sorted(canonical_form(from_graph6(s))
-                             for s in data["witnesses"]))
-    # connected searches were never cached, so old lines lack the flag
-    return ExtremalRecord(data["n"], pattern, family, data["max_count"],
-                          witnesses, data["graphs_explored"],
-                          data["elapsed"], data["status"],
-                          data["require_planar"],
-                          data.get("require_connected", False))
-
-
-def _cache_file() -> str | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    try:
-        os.makedirs(root, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"{CACHE_ENV}={root!r} is not a usable cache "
-                         f"directory: {exc}") from exc
-    return os.path.join(root, "extremal.jsonl")
-
-
-def _cache_key(n: int, pattern: Pattern, family: ForbiddenFamily,
-               require_planar: bool) -> tuple:
-    return (n, to_graph6(canonical_form(pattern.graph).as_graph()),
-            family.sorted_lengths, require_planar)
-
-
-def _cache_lookup(n: int, pattern: Pattern, family: ForbiddenFamily,
-                  require_planar: bool) -> ExtremalRecord | None:
-    path = _cache_file()
-    if path is None or not os.path.exists(path):
-        return None
-    want = _cache_key(n, pattern, family, require_planar)
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            try:
-                data = json.loads(line)
-                got = (data["n"],
-                       to_graph6(canonical_form(from_graph6(data["pattern"])).as_graph()),
-                       tuple(data["family"]), data["require_planar"])
-                if got == want and data["status"] == "complete":
-                    return record_from_json(data)
-            except (ValueError, KeyError, TypeError, AttributeError):
-                continue  # blank, torn or foreign line: the search recomputes it
-    return None
-
-
-def _cache_store(record: ExtremalRecord) -> None:
-    path = _cache_file()
-    if path is None:
-        return
-    with open(path, "a", encoding="ascii") as fh:
-        fh.write(json.dumps(record_to_json(record),
-                            sort_keys=True) + "\n")

@@ -16,14 +16,19 @@ from planar_turan.cli import (
     parse_forbid,
     parse_pattern,
 )
+from planar_turan.canonical import canonical_form
+from planar_turan.counting import Pattern
+from planar_turan.cycles import ForbiddenFamily
 from planar_turan.graph import (
+    build_graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     path_with_edges,
 )
 from planar_turan import verify
-from planar_turan.search import SearchBudget, SearchIncomplete
+from planar_turan.search import (ExtremalRecord, SearchBudget, SearchIncomplete,
+                                 record_to_json)
 from planar_turan.verify import run_claim
 
 
@@ -331,14 +336,37 @@ def test_run_claim_passes_a_claim_whose_last_row_ends_past_the_limit(monkeypatch
     assert report.details[0]["runtime_s"] >= 0.05
 
 
-def test_search_refuses_a_cache_path_that_is_a_file(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "not-a-directory"
-    path.write_text("")
-    monkeypatch.setenv("PLANAR_TURAN_CACHE", str(path))
-    code = main(["search", "--n", "5", "--pattern", "C5", "--forbid", "C4"])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "PLANAR_TURAN_CACHE" in err and str(path) in err
+def _forge_c5_c4free_line(directory):
+    """A record line for C4-free C5 at n = 8 that says max 1 (the true
+    max is 4), with C5 plus three isolated vertices as witness."""
+    padded_c5 = build_graph(8, [(i, (i + 1) % 5) for i in range(5)])
+    forged = ExtremalRecord(8, Pattern.from_graph(cycle_graph(5)),
+                            ForbiddenFamily.of_lengths(4), 1,
+                            (canonical_form(padded_c5),), 351, 0.0)
+    path = directory / "extremal.jsonl"
+    path.write_text(json.dumps(record_to_json(forged), sort_keys=True) + "\n")
+    return path, path.read_bytes()
+
+
+def test_c5_claim_passes_beside_a_forged_record_line(tmp_path, monkeypatch):
+    # PLANAR_TURAN_CACHE once named a directory whose lines answered a
+    # search with no check of the max; no line may answer one now
+    line, before = _forge_c5_c4free_line(tmp_path)
+    monkeypatch.setenv("PLANAR_TURAN_CACHE", str(tmp_path))
+    report = run_claim("c5-c4free-exact", SearchBudget(max_vertices=8))
+    assert report.status == "pass"
+    assert list(tmp_path.iterdir()) == [line] and line.read_bytes() == before
+
+
+def test_search_prints_the_true_max_beside_a_forged_record_line(
+        tmp_path, monkeypatch, capsys):
+    line, before = _forge_c5_c4free_line(tmp_path)
+    monkeypatch.setenv("PLANAR_TURAN_CACHE", str(tmp_path))
+    code, data = _run_json(capsys, ["search", "--n", "8", "--pattern", "C5",
+                                    "--forbid", "C4"])
+    assert code == EXIT_PASS
+    assert (data["max_count"], data["graphs_explored"]) == (4, 351)
+    assert list(tmp_path.iterdir()) == [line] and line.read_bytes() == before
 
 
 def test_verify_unknown_claim(capsys):

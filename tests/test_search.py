@@ -33,7 +33,6 @@ from planar_turan.search import (
     SearchIncomplete,
     enumerate_constrained,
     extremal_number,
-    record_from_json,
     record_to_json,
 )
 from planar_turan.constructions import (ConstructionError, ConstructionSpec,
@@ -255,18 +254,18 @@ def test_fan_out_width_is_capped_at_the_task_count(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(search.os, "fork", fork)
-    serial = extremal_number(5, cycle_graph(5), C4_FREE, use_cache=False)
+    serial = extremal_number(5, cycle_graph(5), C4_FREE)
     assert forks == []  # width 1 is the serial loop
     wide = extremal_number(5, cycle_graph(5), C4_FREE,
-                           SearchBudget(parallel_width=64), use_cache=False)
+                           SearchBudget(parallel_width=64))
     # the trunk at n = 5 is the four graphs on 3 vertices, so the width
     # is capped at 4: the caller and three forked children
     assert len(forks) == 3
     assert wide == serial and wide.witnesses == serial.witnesses
     two = extremal_number(6, cycle_graph(5), C4_FREE,
-                          SearchBudget(parallel_width=2), use_cache=False)
+                          SearchBudget(parallel_width=2))
     assert len(forks) == 4
-    assert two == extremal_number(6, cycle_graph(5), C4_FREE, use_cache=False)
+    assert two == extremal_number(6, cycle_graph(5), C4_FREE)
     _no_child_left()
 
 
@@ -378,8 +377,7 @@ def test_a_child_that_dies_holding_a_task_is_an_error_not_a_hang(
         with pytest.raises(RuntimeError, match="code 9 before it reported"):
             extremal_number(8, cycle_graph(5), C4_FREE,
                             SearchBudget(time_limit=time_limit,
-                                         parallel_width=2),
-                            use_cache=False)
+                                         parallel_width=2))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
@@ -412,15 +410,14 @@ def test_width_above_one_is_refused_while_another_thread_runs():
     try:
         with pytest.raises(ValueError, match="threads.*use width 1"):
             extremal_number(6, cycle_graph(5), C4_FREE,
-                            SearchBudget(parallel_width=2), use_cache=False)
-        serial = extremal_number(6, cycle_graph(5), C4_FREE, use_cache=False)
+                            SearchBudget(parallel_width=2))
+        serial = extremal_number(6, cycle_graph(5), C4_FREE)
     finally:
         release.set()
         thread.join(5)
     assert not thread.is_alive()
     assert serial == extremal_number(6, cycle_graph(5), C4_FREE,
-                                     SearchBudget(parallel_width=2),
-                                     use_cache=False)
+                                     SearchBudget(parallel_width=2))
     _no_child_left()
 
 
@@ -443,7 +440,7 @@ def test_incomplete_record_folds_every_finished_task(monkeypatch, width, k):
 
     monkeypatch.setattr(search, "_subtree_task", task)
     rec = extremal_number(7, pattern, C4_FREE,
-                          SearchBudget(parallel_width=width), use_cache=False)
+                          SearchBudget(parallel_width=width))
     # alone, the process stops after the prefix; at width 2 the other
     # process takes every task left
     finished = range(k) if width == 1 else set(range(len(trunk))) - {k}
@@ -457,15 +454,15 @@ def test_width_above_one_is_refused_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
     with pytest.raises(ValueError, match="os.fork"):
         extremal_number(5, cycle_graph(5), C4_FREE,
-                        SearchBudget(parallel_width=2), use_cache=False)
-    rec = extremal_number(5, cycle_graph(5), C4_FREE, use_cache=False)
+                        SearchBudget(parallel_width=2))
+    rec = extremal_number(5, cycle_graph(5), C4_FREE)
     assert rec.status == "complete"
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_extremal_refuses_empty_vertex_counts(n):
     with pytest.raises(ValueError, match="n must be >= 1"):
-        extremal_number(n, cycle_graph(5), C4_FREE, use_cache=False)
+        extremal_number(n, cycle_graph(5), C4_FREE)
 
 
 def test_extremal_time_limit_yields_incomplete():
@@ -479,8 +476,7 @@ def test_extremal_time_limit_bounds_wall_time_with_workers():
     start = time.monotonic()
     rec = extremal_number(9, cycle_graph(5), EMPTY_FAMILY,
                           SearchBudget(max_vertices=9, time_limit=1.0,
-                                       parallel_width=2),
-                          use_cache=False)
+                                       parallel_width=2))
     assert rec.status == "incomplete"
     assert time.monotonic() - start < 1.5
     _no_child_left()
@@ -514,14 +510,6 @@ def test_extremal_accepts_pattern_object():
     assert rec.max_count > 0
 
 
-def test_record_json_roundtrip():
-    rec = extremal_number(5, cycle_graph(5), C4_FREE)
-    data = record_to_json(rec)
-    clone = record_from_json(json.loads(json.dumps(data)))
-    assert clone == rec
-    assert clone.witnesses == rec.witnesses
-
-
 @pytest.mark.parametrize("planar, connected",
                          [(False, False), (True, True), (False, True)])
 def test_record_json_keeps_the_search_flags(planar, connected):
@@ -530,13 +518,6 @@ def test_record_json_keeps_the_search_flags(planar, connected):
     assert (rec.require_planar, rec.require_connected) == (planar, connected)
     data = json.loads(json.dumps(record_to_json(rec)))
     assert (data["require_planar"], data["require_connected"]) == (planar, connected)
-    assert record_from_json(data) == rec
-
-
-def test_record_json_without_the_connected_flag_reads_unconnected():
-    data = record_to_json(extremal_number(5, cycle_graph(5), C4_FREE))
-    del data["require_connected"]
-    assert record_from_json(data).require_connected is False
 
 
 def test_recertify_refuses_a_disconnected_witness_of_a_connected_search():
@@ -550,88 +531,26 @@ def test_recertify_refuses_a_disconnected_witness_of_a_connected_search():
     search._recertify(dataclasses.replace(forged, require_connected=False))
 
 
-def test_cache_roundtrip(tmp_path, monkeypatch):
+def _forge_c5_c4free_line(directory):
+    """A record line for C4-free C5 at n = 8 that says max 1 (the true
+    max is 4), with C5 plus three isolated vertices as witness."""
+    padded_c5 = build_graph(8, [(i, (i + 1) % 5) for i in range(5)])
+    forged = search.ExtremalRecord(8, Pattern.from_graph(cycle_graph(5)),
+                                   C4_FREE, 1, (canonical_form(padded_c5),),
+                                   351, 0.0)
+    path = directory / "extremal.jsonl"
+    path.write_text(json.dumps(record_to_json(forged), sort_keys=True) + "\n")
+    return path, path.read_bytes()
+
+
+def test_search_answers_afresh_beside_a_forged_record_line(tmp_path, monkeypatch):
+    # PLANAR_TURAN_CACHE once named a directory whose lines answered a
+    # search with no check of the max; no line may answer one now
+    line, before = _forge_c5_c4free_line(tmp_path)
     monkeypatch.setenv("PLANAR_TURAN_CACHE", str(tmp_path))
-    first = extremal_number(5, cycle_graph(5), C4_FREE)
-    cache = tmp_path / "extremal.jsonl"
-    assert cache.exists()
-    lines = cache.read_text().strip().splitlines()
-    assert len(lines) == 1
-    stored = record_from_json(json.loads(lines[0]))
-    assert stored == first
-    second = extremal_number(5, cycle_graph(5), C4_FREE)
-    assert second == first
-    # the hit must not append a second line
-    assert len(cache.read_text().strip().splitlines()) == 1
-
-
-def test_cache_bypassed_for_extra_patterns(tmp_path, monkeypatch):
-    monkeypatch.setenv("PLANAR_TURAN_CACHE", str(tmp_path))
-    assert extremal_number(6, cycle_graph(5), C4_FREE).max_count == 1
-    with_c5 = ForbiddenFamily(frozenset({4}), (cycle_graph(5),))
-    assert extremal_number(6, cycle_graph(5), with_c5).max_count == 0
-    lines = (tmp_path / "extremal.jsonl").read_text().strip().splitlines()
-    assert len(lines) == 1
-
-
-def test_cache_survives_a_torn_line_and_recertifies_hits(tmp_path, monkeypatch):
-    monkeypatch.setenv("PLANAR_TURAN_CACHE", str(tmp_path))
-    extremal_number(5, cycle_graph(5), C4_FREE)
-    with open(tmp_path / "extremal.jsonl", "a", encoding="ascii") as fh:
-        fh.write("garbage{\n")
-    first = extremal_number(6, cycle_graph(5), C4_FREE)  # a miss reads past it
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("a cache hit must not search")
-
-    recertified = []
-    real_recertify = search._recertify
-
-    def spy(record, *args):
-        recertified.append(record)
-        real_recertify(record, *args)
-
-    monkeypatch.setattr(search, "_grow", no_search)
-    monkeypatch.setattr(search, "_recertify", spy)
-    second = extremal_number(6, cycle_graph(5), C4_FREE)
-    assert second == first
-    assert recertified == [second]
-
-
-def test_cache_skips_a_line_whose_fields_have_the_wrong_type(tmp_path, monkeypatch):
-    monkeypatch.setenv("PLANAR_TURAN_CACHE", str(tmp_path))
-    cache = tmp_path / "extremal.jsonl"
-    extremal_number(5, cycle_graph(5), C4_FREE)
-    stored = json.loads(cache.read_text())
-    wrong_pattern = {"n": 5, "pattern": 5, "family": [4],
-                     "require_planar": True, "status": "complete"}
-    cache.write_text(json.dumps(wrong_pattern) + "\n"
-                     + json.dumps(dict(stored, witnesses=[7])) + "\n")
-    searched = []
-    real_grow = search._grow
-
-    def spy(*args, **kwargs):
-        searched.append(args)
-        return real_grow(*args, **kwargs)
-
-    monkeypatch.setattr(search, "_grow", spy)
-    assert extremal_number(5, cycle_graph(5), C4_FREE).max_count == 1
-    assert searched  # both lines were skipped, so the record was recomputed
-
-
-def test_cache_path_that_is_a_file_is_refused(tmp_path, monkeypatch):
-    path = tmp_path / "not-a-directory"
-    path.write_text("")
-    monkeypatch.setenv("PLANAR_TURAN_CACHE", str(path))
-    with pytest.raises(ValueError, match="PLANAR_TURAN_CACHE") as info:
-        extremal_number(5, cycle_graph(5), C4_FREE)
-    assert str(path) in str(info.value)
-
-
-def test_cache_ignored_when_disabled(tmp_path, monkeypatch):
-    monkeypatch.setenv("PLANAR_TURAN_CACHE", str(tmp_path))
-    extremal_number(5, cycle_graph(5), C4_FREE, use_cache=False)
-    assert not os.path.exists(tmp_path / "extremal.jsonl")
+    rec = extremal_number(8, cycle_graph(5), C4_FREE)
+    assert (rec.max_count, rec.graphs_explored, rec.status) == (4, 351, "complete")
+    assert list(tmp_path.iterdir()) == [line] and line.read_bytes() == before
 
 
 def test_growth_probe_on_quadratic_family():
