@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import re
 import sys
@@ -86,17 +87,13 @@ def parse_forbid(text: str | None) -> ForbiddenFamily:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if lo > hi:
-            raise UsageError(f"range {text!r} is reversed (expected lo..hi)")
-        return lo, hi
-    m = re.fullmatch(r"\d+", text)
-    if m:
-        v = int(text)
-        return v, v
-    raise UsageError(f"cannot parse range {text!r} (expected lo..hi)")
+    m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
+    if not m:
+        raise UsageError(f"cannot parse range {text!r} (expected lo..hi)")
+    lo, hi = int(m.group(1)), int(m.group(2) or m.group(1))
+    if lo > hi:
+        raise UsageError(f"range {text!r} is reversed (expected lo..hi)")
+    return lo, hi
 
 
 def _parse_params(text: str | None) -> dict:
@@ -108,9 +105,7 @@ def _parse_params(text: str | None) -> dict:
     for item in text.split(","):
         if "=" not in item:
             raise UsageError(f"parameter {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in item.split("=", 1))
         if key in out:
             raise UsageError(f"parameter {key!r} is given twice")
         if key == "tree":
@@ -135,7 +130,7 @@ def _emit(args, payload: dict | str) -> None:
     """Write a JSON payload, or text as it is, to --output or stdout."""
     text = payload if isinstance(payload, str) else json.dumps(
         payload, indent=2, sort_keys=True)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -166,8 +161,7 @@ def _cmd_count_cycles(args) -> int:
 
 def _cmd_count(args) -> int:
     g = parse_pattern(args.graph)
-    h = parse_pattern(args.pattern)
-    pattern = Pattern.from_graph(h, args.pattern)
+    pattern = Pattern.from_graph(parse_pattern(args.pattern), args.pattern)
     _emit(args, {"graph": to_graph6(g), "pattern": args.pattern,
                  "automorphisms": pattern.automorphisms,
                  "count": count_copies(pattern, g)})
@@ -188,9 +182,8 @@ def _cmd_params(args) -> int:
     if is_tree(g) and g.n > 1:
         part = tree_partition(g, args.ell)
         payload["tree_partition"] = {
-            name: sorted(getattr(part, name))
-            for name in ("leaves", "branch_vertices", "deep_degree_two",
-                         "chain_middles", "other_degree_two", "forest_vertices")}
+            f.name: sorted(getattr(part, f.name))
+            for f in dataclasses.fields(part) if f.name != "path_forest"}
     _emit(args, payload)
     return EXIT_PASS
 
@@ -291,16 +284,16 @@ def _table_rows(args):
         header = ["n", "max_count", "graphs_explored", "status", "witnesses"]
         rows = []
         budget = _budget(args)
+        for n in range(lo, hi + 1):
+            _check_n(n, budget)
         # the rows share the time limit; once it has passed, each size
-        # left is still checked and listed, as an incomplete row with
-        # nothing scanned
+        # left is listed as an incomplete row with nothing scanned
         deadline = _deadline(budget)
         for n in range(lo, hi + 1):
             try:
                 rec = extremal_number(n, pattern, family,
                                       _left(budget, deadline))
             except SearchIncomplete:
-                _check_n(n, budget)
                 rows.append([n, 0, 0, "incomplete", ""])
                 continue
             rows.append([n, rec.max_count, rec.graphs_explored, rec.status,
@@ -313,35 +306,27 @@ def _table_rows(args):
         raise UsageError(f"beta table graph must be path or cycle, got {shape!r}")
     if shape == "cycle" and klo < 3:
         raise UsageError("cycle beta table needs k >= 3")
-    header = ["k", "ell", "beta"]
-    rows = []
-    for k in range(klo, khi + 1):
-        for ell in range(elo, ehi + 1):
-            g = path_with_edges(k) if shape == "path" else cycle_graph(k)
-            rows.append([k, ell, beta(g, ell).value])
-    return header, rows
+    graph = path_with_edges if shape == "path" else cycle_graph
+    return ["k", "ell", "beta"], [[k, ell, beta(graph(k), ell).value]
+                                  for k in range(klo, khi + 1)
+                                  for ell in range(elo, ehi + 1)]
 
 
 def _cmd_table(args) -> int:
     header, rows = _table_rows(args)
     records = [dict(zip(header, r)) for r in rows]
     base = args.output
-    try:
-        with open(base + ".csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        with open(base + ".json", "w", encoding="utf-8") as fh:
-            json.dump({"header": header, "rows": records},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"cannot write table to {base!r}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    with open(base + ".csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    with open(base + ".json", "w", encoding="utf-8") as fh:
+        json.dump({"header": header, "rows": records},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {base}.csv and {base}.json ({len(rows)} rows)")
-    if any(r.get("status") == "incomplete" for r in records):
-        return EXIT_INCOMPLETE
-    return EXIT_PASS
+    incomplete = any(r.get("status") == "incomplete" for r in records)
+    return EXIT_INCOMPLETE if incomplete else EXIT_PASS
 
 
 # ======================================================================
@@ -357,43 +342,50 @@ def _build_parser() -> _Parser:
         epilog="Patterns accept shorthand (C5, P3 = path with 3 edges, K4, "
                "K2_3) or graph6.")
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output")
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--budget-seconds", type=float)
+    limits.add_argument("--jobs", type=int)
+    limits.add_argument("--max-vertices", type=int)
 
-    p = sub.add_parser("is-planar", help="planarity verdict for a graph")
+    p = sub.add_parser("is-planar", parents=[output],
+                       help="planarity verdict for a graph")
     p.add_argument("--graph", required=True, help="graph6 or pattern shorthand")
     p.add_argument("--witness", action="store_true",
                    help="include a forbidden-subdivision witness when non-planar")
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_is_planar)
 
-    p = sub.add_parser("count-cycles", help="number of k-cycles in a graph")
+    p = sub.add_parser("count-cycles", parents=[output],
+                       help="number of k-cycles in a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_count_cycles)
 
-    p = sub.add_parser("count", help="number of pattern copies in a graph")
+    p = sub.add_parser("count", parents=[output],
+                       help="number of pattern copies in a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_count)
 
-    p = sub.add_parser("params", help="beta, degeneracy, and related parameters")
+    p = sub.add_parser("params", parents=[output],
+                       help="beta, degeneracy, and related parameters")
     p.add_argument("--graph", required=True)
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_params)
 
-    p = sub.add_parser("construct", help="build a certified construction")
+    p = sub.add_parser("construct", parents=[output],
+                       help="build a certified construction")
     p.add_argument("--family", required=True,
                    help=", ".join(CONSTRUCTION_FAMILIES))
     p.add_argument("--params", help="comma list, e.g. k=6 or t=3,s=2 or "
                                     "tree=P4,ell=2")
     p.add_argument("--n", type=int, help="vertex budget (families that take n)")
     p.add_argument("--format", choices=("json", "graph6"), default="json")
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_construct)
 
-    p = sub.add_parser("search", help="exact extremal value by exhaustive search")
+    p = sub.add_parser("search", parents=[output, limits],
+                       help="exact extremal value by exhaustive search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--forbid", help="comma list of cycle lengths, e.g. C4,C6")
@@ -401,30 +393,21 @@ def _build_parser() -> _Parser:
                    help="restrict the search space to connected graphs")
     p.add_argument("--no-planar", action="store_true",
                    help="drop the planarity constraint")
-    p.add_argument("--budget-seconds", type=float)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--max-vertices", type=int)
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_search)
 
-    p = sub.add_parser("verify", help="run a named verification claim")
+    p = sub.add_parser("verify", parents=[output, limits],
+                       help="run a named verification claim")
     p.add_argument("--claim", required=True, help=", ".join(sorted(CLAIMS)))
     p.add_argument("--all-details", action="store_true",
                    help="emit passing instances too, not only failures")
-    p.add_argument("--budget-seconds", type=float)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--max-vertices", type=int)
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("table", help="emit a CSV/JSON sweep table")
+    p = sub.add_parser("table", parents=[limits],
+                       help="emit a CSV/JSON sweep table")
     p.add_argument("--spec", required=True,
                    help='e.g. "extremal n=4..7 pattern=C5 forbid=C4" or '
                         '"beta graph=path k=1..6 ell=1..3"')
     p.add_argument("--output", required=True, help="output base path")
-    p.add_argument("--budget-seconds", type=float)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--max-vertices", type=int)
     p.set_defaults(fn=_cmd_table)
     return parser
 
@@ -437,6 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # UsageError, ConstructionError, refused inputs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # an --output that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

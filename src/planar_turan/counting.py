@@ -229,7 +229,8 @@ def probe_bounded_paths(graphs, ell: int, k: int) -> EmpiricalBound:
                     best, best_graph, best_pair = c, g, (a, b)
     if instances == 0:
         raise ValueError("empty probe stream")
-    assert best_graph is not None
+    if best_graph is None:
+        raise ValueError("no graph in the probe stream has two vertices")
     return EmpiricalBound(
         quantity_name=f"max-paths-length-{k}",
         observed_max=best,

@@ -200,11 +200,13 @@ def _claim_beta_closed_forms(budget: SearchBudget, deadline: float | None):
     """beta of paths (k edges) and cycles against their closed forms."""
     for ell in range(1, 5):
         for k in range(1, 16):
+            _check(deadline)
             want = 1 + (k + ell - 1) // (ell + 1)
             got = beta(path_with_edges(k), ell).value
             yield {"instance": f"path k={k} ell={ell}",
                    "expected": want, "got": got, "ok": got == want}
         for k in range(3, 16):
+            _check(deadline)
             want = k // (ell + 1)
             got = beta(cycle_graph(k), ell).value
             yield {"instance": f"cycle k={k} ell={ell}",
@@ -371,6 +373,7 @@ def _claim_bounded_paths_probe(budget: SearchBudget, deadline: float | None):
         small = build_construction(spec, n=n, count_cap=0).graph
         large = build_construction(spec, n=4 * n, count_cap=0).graph
         for k in range(1, ell + 1):
+            _check(deadline)
             lo = probe_bounded_paths([small], ell, k).observed_max
             hi = probe_bounded_paths([large], ell, k).observed_max
             yield {

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -26,7 +27,7 @@ from planar_turan.graph import (
     cycle_graph,
     path_with_edges,
 )
-from planar_turan import verify
+from planar_turan import cli, verify
 from planar_turan.search import (ExtremalRecord, SearchBudget, SearchIncomplete,
                                  record_to_json)
 from planar_turan.verify import run_claim
@@ -259,6 +260,13 @@ def test_verify_claims_that_never_search_honour_the_time_limit(capsys, claim):
     assert payload["status"] == "incomplete"
 
 
+@pytest.mark.parametrize("claim", sorted(verify.CLAIMS))
+def test_every_claim_checks_the_time_limit_before_its_first_row(claim):
+    # --budget-seconds applies to every claim, so none may pass after it
+    report = run_claim(claim, SearchBudget(max_vertices=7, time_limit=1e-9))
+    assert report.status == "incomplete"
+
+
 @pytest.mark.parametrize("claim, rows", [("c5-c4free-exact", 126),
                                          ("planar-cycle-maxima", 5),
                                          ("planarity-oracle", 7),
@@ -486,6 +494,28 @@ def test_table_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_table_refuses_an_out_of_cap_size_before_any_search(
+        tmp_path, capsys, monkeypatch):
+    # n = 10 is above the hard cap of 9; the rows before it would take
+    # half a minute
+    calls = []
+
+    def recorder(n, *args, **kwargs):
+        calls.append(n)
+        raise SearchIncomplete("recorded, not searched")
+
+    monkeypatch.setattr(cli, "extremal_number", recorder)
+    base = tmp_path / "capped"
+    start = time.monotonic()
+    code = main(["table", "--spec", "extremal n=6..10 pattern=C5 forbid=",
+                 "--max-vertices", "9", "--output", str(base)])
+    assert time.monotonic() - start < 1
+    assert code == EXIT_USAGE
+    assert "n = 10" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code = main(["count", "--graph", "C5", "--pattern", "P2",
@@ -524,3 +554,81 @@ def test_argparse_errors_become_usage_exit(capsys):
     assert main(["count-cycles", "--graph", "K4", "--k", "three"]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["is-planar", "--graph", "K4"],
+    ["count-cycles", "--graph", "K4", "--k", "3"],
+    ["count", "--graph", "K4", "--pattern", "C3"],
+    ["params", "--graph", "P3"],
+    ["construct", "--family", "cycle_blowup", "--params", "k=4", "--n", "12"],
+    ["search", "--n", "5", "--pattern", "C5"],
+    ["verify", "--claim", "beta-closed-forms"],
+    ["table", "--spec", "beta graph=path k=1..3 ell=1..2"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, argv):
+    target = str(tmp_path / "missing" / "x.json")
+    assert main([*argv, "--output", target]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert target in lines[0] and "Traceback" not in captured.err
+
+
+# (flag, required, type, help) of every option of each subcommand, the
+# shared ones from the parent parsers included
+_LIMITS = {("--budget-seconds", False, "float", None),
+           ("--jobs", False, "int", None),
+           ("--max-vertices", False, "int", None)}
+_OUTPUT = {("--output", False, None, None)}
+OPTIONS = {
+    "is-planar": _OUTPUT | {
+        ("--graph", True, None, "graph6 or pattern shorthand"),
+        ("--witness", False, None,
+         "include a forbidden-subdivision witness when non-planar")},
+    "count-cycles": _OUTPUT | {("--graph", True, None, None),
+                               ("--k", True, "int", None)},
+    "count": _OUTPUT | {("--graph", True, None, None),
+                        ("--pattern", True, None, None)},
+    "params": _OUTPUT | {("--ell", False, "int", None),
+                         ("--graph", True, None, None)},
+    "construct": _OUTPUT | {
+        ("--family", True, None,
+         "tree_beta_blowup, cycle_blowup, even_tree_parallel_paths, "
+         "pentagon_extremal, ck_c4free_parallel, conjecture_family"),
+        ("--format", False, None, None),
+        ("--n", False, "int", "vertex budget (families that take n)"),
+        ("--params", False, None,
+         "comma list, e.g. k=6 or t=3,s=2 or tree=P4,ell=2")},
+    "search": _OUTPUT | _LIMITS | {
+        ("--connected", False, None,
+         "restrict the search space to connected graphs"),
+        ("--forbid", False, None, "comma list of cycle lengths, e.g. C4,C6"),
+        ("--n", True, "int", None),
+        ("--no-planar", False, None, "drop the planarity constraint"),
+        ("--pattern", True, None, None)},
+    "verify": _OUTPUT | _LIMITS | {
+        ("--all-details", False, None,
+         "emit passing instances too, not only failures"),
+        ("--claim", True, None,
+         "beta-closed-forms, bounded-paths-probe, c5-c4free-exact, "
+         "certification-matrix, copy-count-oracle, degenerate-structure, "
+         "growth-exponents, planar-cycle-maxima, planarity-oracle, "
+         "tree-partition-forest")},
+    "table": _LIMITS | {
+        ("--output", True, None, "output base path"),
+        ("--spec", True, None, 'e.g. "extremal n=4..7 pattern=C5 forbid=C4" '
+                               'or "beta graph=path k=1..6 ell=1..3"')},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_declares_its_options(command):
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices.keys() == OPTIONS.keys()
+    declared = {(a.option_strings[0], a.required,
+                 getattr(a.type, "__name__", None), a.help)
+                for a in sub.choices[command]._actions if a.dest != "help"}
+    assert declared == OPTIONS[command]

@@ -245,3 +245,10 @@ def test_probe_bounded_paths_validation():
     with pytest.raises(ValueError):
         # hosts must avoid the even cycles the probe is studying
         probe_bounded_paths([cycle_graph(4)], 2, 1)
+
+
+@pytest.mark.parametrize("hosts", [[empty_graph(1)], [empty_graph(0), empty_graph(1)]],
+                         ids=["one-vertex", "no-pair-in-any"])
+def test_probe_bounded_paths_refuses_a_stream_with_no_vertex_pair(hosts):
+    with pytest.raises(ValueError, match="two vertices"):
+        probe_bounded_paths(hosts, 1, 1)
