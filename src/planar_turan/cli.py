@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
+import os
 import re
 import sys
 
@@ -412,10 +414,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output path whose directory is missing
+    or that is itself a directory; `table` writes <base>.csv and
+    <base>.json, so both are checked."""
+    if not args.output:
+        return
+    suffixes = (".csv", ".json") if args.command == "table" else ("",)
+    for path in (args.output + suffix for suffix in suffixes):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_outputs(args)
         return args.fn(args)
     except ValueError as exc:  # UsageError, ConstructionError, refused inputs
         print(f"error: {exc}", file=sys.stderr)

@@ -7,14 +7,19 @@ is counted as injective homomorphisms by backtracking in a
 connectivity-first vertex order with bitmask candidate filtering, then
 divided by |Aut(h)|.
 
-The end of the order is counted, not walked.  When the order ends in
-t >= 2 degree-1 vertices whose one neighbour c is placed before them,
-the backtrack stops at the first of them and adds the falling factorial
-P(|N(image of c) minus the used vertices|, t).  Otherwise it stops at
-the last vertex and adds the number of its candidates whose host degree
-is at least its pattern degree.  Both are exact: the vertices counted
-this way are pairwise non-adjacent, so their only constraint is to be
-distinct inside one candidate set.
+The end of the order is counted, not walked.  Its trailing run of t
+vertices whose placed neighbours are the same list S is closed in one
+step: the backtrack stops at the run's first vertex and adds the falling
+factorial P(|common host neighbourhood of the images of S minus the used
+vertices|, t).  This is exact.  Two run members cannot be adjacent (the
+later one would list the earlier one in S), and the run ends the order,
+so each member's neighbours are exactly S and the members need only be
+distinct common neighbours; each such candidate has host degree at
+least |S|, its pattern degree, so no degree filter applies.  A star
+K1,t is therefore one pass over the host vertices, Sum_v P(deg v, t);
+K2,t is one pass over the host vertex pairs (a, b) through each common
+neighbour x, adding P(|N(a) & N(b)| - 1, t - 1); and trailing isolated
+vertices close on the unused host vertices.
 
 The plain injective-homomorphism counter, its oracle, walks pattern
 vertices in id order over every host vertex with no candidate masks,
@@ -62,7 +67,7 @@ def _embedding_order(h: Graph) -> list[int]:
     order: list[int] = []
     while remaining:
         best = max(remaining, key=lambda v: (
-            sum(1 for w in h.adj[v] if w in set(order)),
+            sum(1 for w in h.adj[v] if w not in remaining),
             h.degree(v), -v))
         order.append(best)
         remaining.discard(best)
@@ -85,26 +90,17 @@ def _count_embeddings(h: Graph, g: Graph, stop_at_first: bool = False) -> int:
     gdeg = [g.degree(w) for w in range(g.n)]
     full = (1 << g.n) - 1
     images = [0] * h.n
-    last = h.n - 1
-    # the host vertices that can take the last pattern vertex
-    wide = sum(1 << w for w in range(g.n) if gdeg[w] >= hdeg[last])
-    # the trailing run of degree-1 vertices on one placed neighbour
-    tail = last
-    while (tail > 0 and hdeg[tail - 1] == 1
-           and placed_nbrs[tail - 1] == placed_nbrs[last] != []):
+    # the trailing run of vertices whose placed neighbours are the last one's
+    tail = h.n - 1
+    while tail > 0 and placed_nbrs[tail - 1] == placed_nbrs[-1]:
         tail -= 1
-    if tail == last:
-        tail = h.n  # no run of two or more: the last vertex closes alone
 
     def rec(i: int, used: int) -> int:
-        if i == tail:
-            hub = gbits[images[placed_nbrs[i][0]]]
-            return perm((hub & ~used).bit_count(), h.n - tail)
         cand = full & ~used
         for u in placed_nbrs[i]:
             cand &= gbits[images[u]]
-        if i == last:
-            return (cand & wide).bit_count()
+        if i == tail:
+            return perm(cand.bit_count(), h.n - tail)
         need = hdeg[i]
         v = order[i]
         total = 0

@@ -565,8 +565,18 @@ def test_argparse_errors_become_usage_exit(capsys):
     ["search", "--n", "5", "--pattern", "C5"],
     ["verify", "--claim", "beta-closed-forms"],
     ["table", "--spec", "beta graph=path k=1..3 ell=1..2"],
+    # a refused input too: the output is checked first, so this exits 1
+    pytest.param(["search", "--n", "0", "--pattern", "C5"],
+                 id="refused-search"),
 ], ids=lambda argv: argv[0])
-def test_unwritable_output_is_one_error_line(tmp_path, capsys, argv):
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                             argv):
+    ran = []
+    for name in [name for name in vars(cli) if name.startswith("_cmd_")]:
+        def recorded(args, fn=getattr(cli, name)):
+            ran.append(args.command)
+            return fn(args)
+        monkeypatch.setattr(cli, name, recorded)
     target = str(tmp_path / "missing" / "x.json")
     assert main([*argv, "--output", target]) == EXIT_FAIL
     captured = capsys.readouterr()
@@ -574,6 +584,19 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert target in lines[0] and "Traceback" not in captured.err
+    assert ran == []  # refused before the subcommand did any work
+
+
+def test_table_whose_json_is_a_directory_leaves_no_csv(tmp_path, capsys):
+    base = tmp_path / "t"
+    (tmp_path / "t.json").mkdir()
+    argv = ["table", "--spec", "extremal n=4..6 pattern=C5 forbid=C4",
+            "--output", str(base)]
+    assert main(argv) == EXIT_FAIL
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(base) + ".json" in lines[0]
+    assert not (tmp_path / "t.csv").exists()
 
 
 # (flag, required, type, help) of every option of each subcommand, the

@@ -21,6 +21,7 @@ from planar_turan.counting import (
 from planar_turan.cycles import count_cycles
 from planar_turan.graph import (
     build_graph,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -80,7 +81,8 @@ def _double_star(a, b):
 
 
 # patterns whose embedding order ends in leaves on one vertex, in leaves
-# on two different vertices, or in isolated vertices
+# on two different vertices, in isolated vertices, or in a run of vertices
+# that share two or three placed neighbours
 LEAFY_PATTERNS = (
     [star_graph(t) for t in range(1, 6)]
     + [_spider(legs)
@@ -89,7 +91,13 @@ LEAFY_PATTERNS = (
     + [disjoint_union([h, empty_graph(r)]) for h in
        [empty_graph(1), path_with_edges(1), path_with_edges(2), star_graph(3)]
        for r in (1, 2)]
-    + [disjoint_union([path_with_edges(1), star_graph(2)])])
+    + [disjoint_union([path_with_edges(1), star_graph(2)])]
+    + [complete_bipartite(2, 3), complete_bipartite(2, 4),
+       complete_bipartite(3, 3),
+       # K1,1,3: three triangles on the edge 0-1
+       build_graph(5, [(0, 1)] + [(i, j) for i in (0, 1) for j in (2, 3, 4)]),
+       empty_graph(3),
+       disjoint_union([complete_bipartite(2, 3), empty_graph(1)])])
 
 
 def test_leafy_patterns_copies_times_automorphisms_is_injective_homs():
@@ -103,6 +111,15 @@ def test_leafy_patterns_copies_times_automorphisms_is_injective_homs():
             homs = count_injective_homs(h, g)
             assert count_copies(h, g) * aut == homs
             assert has_injective_hom(h, g) == (homs > 0)
+
+
+@pytest.mark.parametrize("t", range(3, 7))
+def test_k2t_copies_in_k2m_are_subsets_of_the_big_side(t):
+    # the two vertices of degree t >= 3 must land on the host's two hubs,
+    # so a copy is a t-subset of the m degree-2 vertices
+    for m in [*range(t - 1, 13), 40, 60]:
+        assert count_copies(complete_bipartite(2, t),
+                            complete_bipartite(2, m)) == comb(m, t)
 
 
 def test_star_copies_are_neighbourhood_subsets():
