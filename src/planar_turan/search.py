@@ -13,20 +13,29 @@ deduplication table within a parent or across a level.
 That vertex, and with it its Aut(child) orbit, lies in the last cell
 of the child's root equitable partition, so a child is rejected when
 the new vertex is outside that cell and accepted with no canonical
-search when the cell is the new vertex alone; only the rest get a full
-`canonical_search`, started from that partition.  The partition is
-refined from the child's bit rows, the parent's rows plus the mask, so
-a child is built as a `Graph` only when it survives this test.
-Children are kept as built, so the enumeration yields each class
-exactly once in a deterministic order, but not in canonical labelling
-and not sorted per parent.
+search when the cell is the new vertex alone.  Refinement orders cells
+by degree first, so a new vertex of strictly greatest degree is that
+cell alone, and its child is accepted with no refinement at all.  Any
+other partition is refined from the child's bit rows, the parent's rows
+plus the mask, so a child is built as a `Graph` only when it survives
+this test; only the undecided rest get a full `canonical_search`,
+started from that partition.  The generators of Aut(child) that this
+search finds go down with the child, so its own expansion does not
+search it again for its mask orbits.  Children are kept as built, so
+the enumeration yields each class exactly once in a deterministic
+order, but not in canonical labelling and not sorted per parent.
 
 Planarity and forbidden cycles are hereditary under vertex deletion, so
 pruning during augmentation is sound, and each test runs at the cheapest
-point: forbidden cycles through the new vertex, the planar edge bound
-and the degree of the vertex at the last canonical position are checked
-on the mask before a child is built; planarity runs only on children
-that pass the orbit test.
+point.  Only the masks that close no forbidden cycle through the new
+vertex are listed; the planar edge bound and the degree of the vertex
+at the last canonical position are checked on them before a child is
+built.  These filters are invariant under Aut(parent), so the masks
+kept are a union of its orbits, and the automorphisms are applied to
+them alone, not to all 2^n subsets.  Planarity runs only on children
+that pass the orbit test, and a mask that contains one whose child is
+not planar is dropped before it is refined: adding edges keeps a graph
+non-planar.
 
 Disconnected graphs are part of the search space: the extremal maximum
 quantifies over all graphs on n vertices, not only connected ones.
@@ -64,6 +73,9 @@ from .planarity import is_planar
 
 DEFAULT_VERTEX_CAP = 8
 HARD_VERTEX_CAP = 9
+
+# automorphisms as vertex maps, generating a whole automorphism group
+Generators = tuple[tuple[int, ...], ...]
 
 
 class SearchIncomplete(RuntimeError):
@@ -105,81 +117,108 @@ class ExtremalRecord:
 # Canonical augmentation
 # ======================================================================
 
-def _on_masks(perm: tuple[int, ...]) -> list[int]:
-    """The permutation of vertex subsets (as bitmasks) induced by perm."""
-    image = [0] * (1 << len(perm))
-    for mask in range(1, len(image)):
-        low = mask & -mask
-        image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
-    return image
+def _orbit_least(masks: list[int], generators: Generators) -> list[int]:
+    """The least mask of each orbit of the group that `generators`
+    generate, on `masks`: a union of its orbits, in increasing order.
+    An image outside `masks` raises KeyError."""
+    index = {m: i for i, m in enumerate(masks)}
+    perms = []
+    for p in generators:
+        moved = [(1 << v, 1 << w) for v, w in enumerate(p) if v != w]
+        still = sum(1 << v for v, w in enumerate(p) if v == w)
+        images = []
+        for m in masks:
+            image = m & still
+            for a, b in moved:
+                if m & a:
+                    image |= b
+            images.append(index[image])
+        perms.append(images)
+    root = orbit_roots(len(masks), perms)
+    return [m for i, m in enumerate(masks) if root[i] == i]
 
 
-def _accepted_children(parent: Graph, family: ForbiddenFamily,
-                       require_planar: bool) -> list[Graph]:
+def _accepted_children(parent: Graph, generators: Generators | None,
+                       family: ForbiddenFamily, require_planar: bool
+                       ) -> list[tuple[Graph, Generators | None]]:
     """The constrained one-vertex extensions of `parent` whose canonical
     parent it is, each class once, as built: the parent's labels plus
-    the new vertex n, in mask order.
+    the new vertex n, in mask order.  Each comes with generators of its
+    automorphism group when its parent test found them, else None;
+    `generators` are the parent's, or None to search for them here.
 
-    Cheapest test first: attachment masks that close a forbidden cycle,
-    break the planar edge bound or leave the new vertex short of maximum
-    degree are dropped before any child is built; one mask per
-    Aut(parent) orbit survives.  Each surviving mask gives the child's
-    bit rows, and their root partition is refined once; n outside its
-    last cell rejects the child before any `Graph` exists.  Only then
-    is the child built, checked for extra patterns, and its parent test
-    finished: accepted when the last cell is (n,), otherwise by one
-    canonical search from that partition.  Planarity runs only on
-    accepted children.
+    Cheapest test first.  Only the attachment masks that close no
+    forbidden cycle are listed, and those that break the planar edge
+    bound or leave the new vertex short of maximum degree are dropped
+    before any child is built.  The rest are a union of Aut(parent)
+    orbits, and the least mask of each orbit survives.  With
+    `require_planar`, a mask that contains one whose child was found
+    non-planar is dropped too.  A new vertex of strictly greatest degree
+    is alone in the child's last root cell, so it is accepted at once;
+    any other mask gives the child's bit rows, and their root partition
+    is refined once: n outside its last cell rejects the child before
+    any `Graph` exists.  Only then is the child built, checked for extra
+    patterns, and its parent test finished: accepted when the last cell
+    is (n,), otherwise by one canonical search from that partition,
+    whose generators go with the child.  Planarity runs only on accepted
+    children.
     """
     n = parent.n
     partners = closing_partners(parent, family)
     # e <= 3v - 6 for planar graphs on v >= 3 vertices
     max_attach = (3 * (n + 1) - 6 - parent.edge_count
                   if require_planar and n >= 2 else n)
-    free = bytearray(1 << n)  # free[mask]: joining mask closes no cycle
-    free[0] = 1
-    for mask in range(1, 1 << n):
-        high = mask.bit_length() - 1
-        rest = mask ^ 1 << high
-        free[mask] = free[rest] and not partners[high] & rest
+    # the masks that close no forbidden cycle, in increasing order: each
+    # is a smaller one plus its highest vertex
+    free = [0]
+    for high in range(n):
+        free += [rest | 1 << high for rest in free if not partners[high] & rest]
     # The vertex at the last canonical position has maximum degree, so
     # the new vertex needs at least as many neighbours as any old vertex
     # and one more than an old vertex of top degree that it joins.
     top = max(len(row) for row in parent.adj)
     at_top = sum(1 << v for v in range(n) if len(parent.adj[v]) == top)
-    masks = [m for m in range(1 << n)
-             if free[m] and top <= m.bit_count() <= max_attach
+    masks = [m for m in free if top <= m.bit_count() <= max_attach
              and not (m.bit_count() == top and m & at_top)]
     if len(masks) > 1:
-        _, _, generators = canonical_search(parent)
+        if generators is None:
+            _, _, generators = canonical_search(parent)
         if generators:
-            root = orbit_roots(1 << n, [_on_masks(p) for p in generators])
-            masks = [m for m in masks if root[m] == m]
-    accepted: list[Graph] = []
+            masks = _orbit_least(masks, generators)
+    accepted: list[tuple[Graph, Generators | None]] = []
+    dead: list[int] = []  # masks whose child is not planar
     bits = parent.bits
     for mask in masks:
+        # a graph with a non-planar subgraph is not planar
+        if any(mask & d == d for d in dead):
+            continue
         # McKay's criterion: the new vertex n must lie in the Aut(child)
         # orbit of the vertex at the last canonical position.  That vertex
         # and its orbit lie in the last root cell, which often decides.
-        rows = tuple(row | 1 << n if mask >> v & 1 else row
-                     for v, row in enumerate(bits)) + (mask,)
-        cells = root_partition(rows)
-        cell = cells[-1]
-        if n not in cell:
-            continue
+        # Refinement orders cells by degree first, so a new vertex of
+        # strictly greatest degree is that cell alone.
+        cells = None
+        if mask.bit_count() <= top + bool(mask & at_top):
+            rows = tuple(row | 1 << n if mask >> v & 1 else row
+                         for v, row in enumerate(bits)) + (mask,)
+            cells = root_partition(rows)
+            if n not in cells[-1]:
+                continue
         child = parent.with_vertex([i for i in range(n) if mask >> i & 1])
         if family.extra_patterns and not is_family_free(child, family):
             continue
-        if len(cell) > 1:
-            _, pos, generators = canonical_search(child, cells)
+        found = None
+        if cells is not None and len(cells[-1]) > 1:
+            _, pos, found = canonical_search(child, cells)
             last = pos.index(n)
             if last != n:
-                root = orbit_roots(n + 1, generators)
+                root = orbit_roots(n + 1, found)
                 if root[last] != root[n]:
                     continue
         if require_planar and not is_planar(child).is_planar:
+            dead.append(mask)
             continue
-        accepted.append(child)
+        accepted.append((child, found))
     return accepted
 
 
@@ -194,20 +233,23 @@ def _check_n(n: int, budget: SearchBudget) -> None:
             f"to opt in to larger runs")
 
 
-def _grow(parent: Graph, steps: int, family: ForbiddenFamily,
-          require_planar: bool, require_connected: bool,
-          deadline: float | None):
+def _grow(parent: Graph, generators: Generators | None, steps: int,
+          family: ForbiddenFamily, require_planar: bool,
+          require_connected: bool, deadline: float | None):
     """Yield the descendants of `parent` `steps` vertices down, depth
     first (the order of building level by level too), only connected ones
-    with `require_connected`.  Raises SearchIncomplete once the deadline
-    has passed, checked before each graph is extended or yielded."""
+    with `require_connected`, each with the generators of its
+    automorphism group that its parent test found, or None.  Raises
+    SearchIncomplete once the deadline has passed, checked before each
+    graph is extended or yielded."""
     _check(deadline)
     if steps == 0:
         if not require_connected or is_connected(parent):
-            yield parent
+            yield parent, generators
         return
-    for child in _accepted_children(parent, family, require_planar):
-        yield from _grow(child, steps - 1, family, require_planar,
+    for child, found in _accepted_children(parent, generators, family,
+                                           require_planar):
+        yield from _grow(child, found, steps - 1, family, require_planar,
                          require_connected, deadline)
 
 
@@ -246,25 +288,27 @@ def enumerate_constrained(n: int, family: ForbiddenFamily = EMPTY_FAMILY,
     stream depth first, so the first arrives at once."""
     budget = budget or SearchBudget()
     _check_n(n, budget)
-    yield from _grow(empty_graph(1), n - 1, family, require_planar,
-                     require_connected, _deadline(budget))
+    for g, _ in _grow(empty_graph(1), None, n - 1, family, require_planar,
+                      require_connected, _deadline(budget)):
+        yield g
 
 
 # ======================================================================
 # Extremal numbers
 # ======================================================================
 
-def _subtree_task(parent: Graph, *, steps: int, family: ForbiddenFamily,
-                  require_planar: bool, require_connected: bool,
-                  pattern: Pattern,
+def _subtree_task(node: tuple[Graph, Generators | None], *, steps: int,
+                  family: ForbiddenFamily, require_planar: bool,
+                  require_connected: bool, pattern: Pattern,
                   deadline: float | None) -> tuple[int, int, list[Graph]]:
-    """Extend one parent by `steps` vertices and scan the result; returns
+    """Extend one trunk graph, given with its generators or None as
+    `_grow` yields it, by `steps` vertices and scan the result; returns
     (explored, local_max, witnesses attaining local_max)."""
     explored = 0
     best = -1
     witnesses: list[Graph] = []
-    for g in _grow(parent, steps, family, require_planar, require_connected,
-                   deadline):
+    for g, _ in _grow(*node, steps, family, require_planar,
+                      require_connected, deadline):
         explored += 1
         c = count_copies(pattern, g)
         if c > best:
@@ -409,8 +453,8 @@ def extremal_number(n: int, pattern: Graph | Pattern,
     found: list[Graph] = []
     status = "complete"
     try:
-        trunk = list(_grow(empty_graph(1), split - 1, family, require_planar,
-                           False, deadline))
+        trunk = list(_grow(empty_graph(1), None, split - 1, family,
+                           require_planar, False, deadline))
         width = min(budget.parallel_width, len(trunk))
         for sub_explored, sub_best, sub_found in _fan_out(task, trunk, width):
             explored += sub_explored

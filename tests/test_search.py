@@ -23,9 +23,10 @@ from planar_turan.bruteforce import (count_copies_brute, count_cycles_brute,
 from planar_turan.canonical import (canonical_form, canonical_search,
                                     orbit_roots, root_partition)
 from planar_turan.counting import Pattern
-from planar_turan.cycles import EMPTY_FAMILY, ForbiddenFamily, is_family_free
+from planar_turan.cycles import (EMPTY_FAMILY, ForbiddenFamily,
+                                 closing_partners, is_family_free)
 from planar_turan.graph import (build_graph, cycle_graph, empty_graph,
-                                is_connected, path_with_edges)
+                                is_connected, path_with_edges, star_graph)
 from planar_turan.graph6 import from_graph6, to_graph6
 from planar_turan.planarity import is_planar
 from planar_turan.search import (
@@ -39,6 +40,7 @@ from planar_turan.constructions import (ConstructionError, ConstructionSpec,
                                         growth_probe)
 
 C4_FREE = ForbiddenFamily.of_lengths(4)
+CLAW_FREE = ForbiddenFamily(frozenset(), (star_graph(3),))
 
 # classes of simple graphs on n vertices, all / planar-only (OEIS A000088
 # and A005470)
@@ -112,9 +114,145 @@ def test_last_root_cell_decides_the_parent_test_like_the_full_search():
                 if k not in cell or cell == (k,):
                     assert (k in cell) == (k in orbit), (to_graph6(child), cell)
                     decided[k in orbit] += 1
-            for child in search._accepted_children(parent, EMPTY_FAMILY, False):
+            for child, _ in search._accepted_children(parent, None,
+                                                      EMPTY_FAMILY, False):
                 assert k in _last_orbit(child), to_graph6(child)
     assert decided[True] and decided[False]
+
+
+def _nodes(n, family, planar):
+    """The classes on n vertices with the generators that the search
+    hands down with each, as the augmentation meets them."""
+    return list(search._grow(empty_graph(1), None, n - 1, family, planar,
+                             False, None))
+
+
+def test_a_new_vertex_of_strictly_greatest_degree_is_accepted_unrefined(
+        monkeypatch):
+    # search accepts a child without refining its rows when the new
+    # vertex k has more neighbours than any old vertex has in the child;
+    # refinement orders cells by degree first, so the last root cell is
+    # (k,) anyway.  Handed no generator, search prunes no orbit, so
+    # every mask that passes the degree filter is judged.
+    real = search.root_partition
+    refined = set()
+
+    def recorded(rows):
+        refined.add(rows)
+        return real(rows)
+
+    monkeypatch.setattr(search, "root_partition", recorded)
+    unrefined = 0
+    for k in range(1, 8):
+        for parent in enumerate_constrained(k, require_planar=False):
+            refined.clear()
+            for child, _ in search._accepted_children(parent, (), EMPTY_FAMILY,
+                                                      False):
+                if child.bits not in refined:
+                    unrefined += 1
+                    assert real(child.bits)[-1] == (k,), to_graph6(child)
+    assert unrefined
+
+
+@pytest.mark.parametrize("n, family, planar", [
+    (6, EMPTY_FAMILY, False),
+    (7, C4_FREE, True),
+    (7, CLAW_FREE, True),
+])
+def test_handed_down_generators_are_the_childs_own(n, family, planar):
+    # a child whose parent test needed a canonical search keeps the
+    # generators it found, so its own expansion does not search again;
+    # they are the ones a fresh search of the child returns, and the
+    # children are the same as with the parent's generators recomputed
+    handed = 0
+    for k in range(1, n):
+        for parent, generators in _nodes(k, family, planar):
+            given = search._accepted_children(parent, generators, family,
+                                              planar)
+            fresh = search._accepted_children(parent, None, family, planar)
+            assert [c for c, _ in given] == [c for c, _ in fresh]
+            for child, found in given:
+                if found is not None:
+                    handed += 1
+                    assert found == canonical_search(child)[2], to_graph6(child)
+    assert handed
+
+
+def _on_masks(perm):
+    """The permutation of all 2^n vertex subsets (as bitmasks) that perm
+    induces: the table the orbit pruning once built per generator."""
+    image = [0] * (1 << len(perm))
+    for mask in range(1, len(image)):
+        low = mask & -mask
+        image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+    return image
+
+
+@pytest.mark.parametrize("planar", [False, True])
+@pytest.mark.parametrize("lengths", [(), (3,), (4,), (3, 4)])
+def test_orbits_on_the_kept_masks_are_the_orbits_on_all_masks(
+        monkeypatch, lengths, planar):
+    # search lists only the masks that pass its filters, all invariant
+    # under Aut(parent), and keeps the least of each orbit on them: the
+    # same masks as the least of each orbit on all 2^n subsets
+    family = ForbiddenFamily.of_lengths(*lengths)
+    real = search._orbit_least
+    seen = []
+    monkeypatch.setattr(search, "_orbit_least",
+                        lambda masks, gens: seen.append(masks) or real(masks, gens))
+    pruned = 0
+    for k in range(1, 7):
+        for parent in enumerate_constrained(k, family, require_planar=planar):
+            partners = closing_partners(parent, family)
+            top = max(len(row) for row in parent.adj)
+            at_top = sum(1 << v for v in range(k) if len(parent.adj[v]) == top)
+            most = 3 * (k + 1) - 6 - parent.edge_count if planar and k >= 2 else k
+            kept = [m for m in range(1 << k)
+                    if not any(m >> v & 1 and partners[v] & m for v in range(k))
+                    and top <= m.bit_count() <= most
+                    and not (m.bit_count() == top and m & at_top)]
+            generators = canonical_search(parent)[2]
+            seen.clear()
+            search._accepted_children(parent, None, family, planar)
+            if len(kept) < 2 or not generators:
+                assert seen == []
+                continue
+            assert seen == [kept]
+            root = orbit_roots(1 << k, [_on_masks(p) for p in generators])
+            assert real(kept, generators) == [m for m in kept if root[m] == m]
+            pruned += len(kept) > len(real(kept, generators))
+    assert pruned
+    with pytest.raises(KeyError):  # {0} is not closed under swapping 0, 1
+        real([1], [(1, 0)])
+
+
+def test_a_mask_over_a_non_planar_one_is_dropped_unrefined(monkeypatch):
+    # a child joined to a superset of a mask whose child is not planar
+    # holds that child, so search drops the mask before refining it; the
+    # accepted children are those of the same parent with planarity
+    # tested only after the parent test
+    real = search.is_planar
+    tested = []
+    monkeypatch.setattr(search, "is_planar",
+                        lambda g: tested.append(g) or real(g))
+    dropped = 0
+    for k in range(1, 8):
+        for parent, generators in _nodes(k, EMPTY_FAMILY, True):
+            tested.clear()
+            got = search._accepted_children(parent, generators, EMPTY_FAMILY,
+                                            True)
+            dead = []
+            for child in tested:
+                mask = child.bits[k]
+                assert not any(mask & d == d for d in dead), to_graph6(child)
+                if not real(child).is_planar:
+                    dead.append(mask)
+            loose = [c for c, _ in search._accepted_children(
+                parent, generators, EMPTY_FAMILY, False)]
+            assert [c for c, _ in got] == [c for c in loose if real(c).is_planar]
+            dropped += sum(any(c.bits[k] & d == d != c.bits[k] for d in dead)
+                           for c in loose)
+    assert dropped
 
 
 @pytest.mark.parametrize("n, family, planar, classes", [
@@ -427,16 +565,17 @@ def test_incomplete_record_folds_every_finished_task(monkeypatch, width, k):
     # at n = 7 the trunk is the planar C4-free graphs on 5 vertices, and
     # each task adds two vertices; the k-th task stops its process
     pattern = Pattern.from_graph(cycle_graph(5))
-    trunk = list(search._grow(empty_graph(1), 4, C4_FREE, True, False, None))
+    trunk = list(search._grow(empty_graph(1), None, 4, C4_FREE, True, False,
+                              None))
     real = search._subtree_task
-    scans = [real(g, steps=2, family=C4_FREE, require_planar=True,
+    scans = [real(node, steps=2, family=C4_FREE, require_planar=True,
                   require_connected=False, pattern=pattern, deadline=None)
-             for g in trunk]
+             for node in trunk]
 
-    def task(parent, **kw):
-        if parent == trunk[k]:
+    def task(node, **kw):
+        if node == trunk[k]:
             raise SearchIncomplete("stopped")
-        return real(parent, **kw)
+        return real(node, **kw)
 
     monkeypatch.setattr(search, "_subtree_task", task)
     rec = extremal_number(7, pattern, C4_FREE,
