@@ -6,10 +6,14 @@ with pruning or smarter data structures.  Tests and `verify` claims
 compare the two sides; keep these independent of the optimized code
 paths.  Edges are probed on the host's bit rows (`bits[a] >> b & 1`).
 
-One sound skip is allowed.  `count_copies_brute` passes over a vertex
-subset whose induced edge count is below |E(h)| before trying any
-bijection, since every copy on that subset has exactly |E(h)| edges,
-all inside it.
+`count_copies_brute` lists the labelled copies of h on the points
+0..k-1 once per call: the image of E(h) under each of the k!
+permutations, as a bitmask of point pairs, each image kept once.  A
+k-subset of host vertices, listed in increasing order, names its
+vertices 0..k-1, so its copies are exactly the labelled copies that its
+induced pair mask contains.  One sound skip is allowed: a subset whose
+induced edges < |E(h)| holds no copy, since every copy on it has
+exactly |E(h)| edges, all inside it.
 """
 
 from __future__ import annotations
@@ -59,35 +63,34 @@ def count_cycles_brute(g: Graph, k: int) -> int:
 def count_copies_brute(h: Graph, g: Graph) -> int:
     """Count subgraphs of g isomorphic to h, as distinct (vertices, edges) sets.
 
-    For every |V(h)|-subset with at least |E(h)| induced edges and every
-    bijection onto it, the image of E(h) is collected when all its edges
-    exist in g; the distinct images on each subset are its copies.  No
-    automorphism division is involved, which keeps this independent of
-    the embedding-count route.
+    The distinct images of E(h) under the permutations of 0..k-1, with
+    k = |V(h)|, are h's labelled copies on k points.  Each k-subset of
+    g with induced edges >= |E(h)| adds the labelled copies inside its
+    induced edges, its vertices named 0..k-1 in increasing order.  The
+    vertex image is the whole subset, so copies that differ only in
+    isolated-vertex placement lie on different subsets.  No automorphism
+    division is involved, which keeps this independent of the
+    embedding-count route.
     """
-    if h.n > g.n:
+    k = h.n
+    if k > g.n:
         return 0
+    pair = [[1 << (min(a, b) * k + max(a, b)) for b in range(k)]
+            for a in range(k)]
+    shapes = {sum(pair[p[u]][p[v]] for u, v in h.edges)
+              for p in permutations(range(k))}
+    need = h.edge_count
+    local = [(i, j, pair[i][j]) for i, j in combinations(range(k), 2)]
     bits = g.bits
-    hedges = h.edges
-    need = len(hedges)
     total = 0
-    for subset in combinations(range(g.n), h.n):
-        mask = sum(1 << v for v in subset)
-        if sum((bits[v] & mask).bit_count() for v in subset) // 2 < need:
+    for subset in combinations(range(g.n), k):
+        induced = 0
+        for i, j, bit in local:
+            if bits[subset[i]] >> subset[j] & 1:
+                induced |= bit
+        if induced.bit_count() < need:
             continue  # the sound skip of the module docstring
-        # the vertex image is all of subset, so copies that differ only
-        # in isolated-vertex placement lie on different subsets
-        images: set[frozenset[tuple[int, int]]] = set()
-        for perm in permutations(subset):
-            image = []
-            for u, v in hedges:
-                a, b = perm[u], perm[v]
-                if not bits[a] >> b & 1:
-                    break
-                image.append((a, b) if a < b else (b, a))
-            else:
-                images.add(frozenset(image))
-        total += len(images)
+        total += sum(1 for s in shapes if s & induced == s)
     return total
 
 

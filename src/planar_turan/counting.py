@@ -143,17 +143,19 @@ def count_injective_homs(h: Graph, g: Graph) -> int:
 
     Each pattern vertex tries every unused host vertex, with no candidate
     masks, and keeps one adjacent in g to the images of all its
-    lower-id neighbours.
+    lower-id neighbours; the last pattern vertex adds one for each host
+    vertex it keeps, with no further call.
     """
     if h.n > g.n:
         return 0
+    if h.n == 0:
+        return 1
     bits = g.bits
     earlier = [[u for u in h.adj[v] if u < v] for v in range(h.n)]
+    last = h.n - 1
     images = [-1] * h.n
 
     def rec(v: int, used: int) -> int:
-        if v == h.n:
-            return 1
         total = 0
         for w in range(g.n):
             if used >> w & 1:
@@ -162,8 +164,11 @@ def count_injective_homs(h: Graph, g: Graph) -> int:
                 if not bits[images[u]] >> w & 1:
                     break
             else:
-                images[v] = w
-                total += rec(v + 1, used | 1 << w)
+                if v == last:
+                    total += 1
+                else:
+                    images[v] = w
+                    total += rec(v + 1, used | 1 << w)
         return total
 
     return rec(0, 0)

@@ -232,14 +232,19 @@ def _claim_tree_partition_forest(budget: SearchBudget, deadline: float | None):
 
 
 def _claim_copy_count_oracle(budget: SearchBudget, deadline: float | None):
-    """count_copies vs the automorphism identity and a subset-permutation
-    brute force on random pattern/host pairs."""
+    """count_copies vs the automorphism identity and a labelled-copies
+    brute force on random pattern/host pairs.  A pattern drawn again
+    reuses its `Pattern`, keyed by the whole graph (vertex count and
+    edges)."""
     rng = random.Random(COPY_ORACLE_SEED)
+    patterns: dict[Graph, Pattern] = {}
 
     def trial(i):
         h = _random_graph(rng, rng.randint(1, 5), rng.uniform(0.2, 0.9))
         g = _random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.7))
-        pattern = Pattern.from_graph(h)
+        pattern = patterns.get(h)
+        if pattern is None:
+            pattern = patterns[h] = Pattern.from_graph(h)
         copies = count_copies(pattern, g)
         homs = count_injective_homs(h, g)
         aut = pattern.automorphisms

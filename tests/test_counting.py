@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planar_turan.bruteforce import count_copies_brute, count_paths_brute
+from planar_turan.bruteforce import (automorphism_count_brute, count_copies_brute,
+                                     count_paths_brute)
 from planar_turan.canonical import automorphism_count
 from planar_turan.counting import (
     EmpiricalBound,
@@ -151,6 +152,35 @@ def test_brute_copies_of_an_edgeless_pattern_are_vertex_subsets():
         g = _random_graph(rng, rng.randint(0, 8), rng.uniform(0.0, 1.0))
         for k in range(0, 5):
             assert count_copies_brute(empty_graph(k), g) == comb(g.n, k)
+
+
+def _labelled_graphs(k):
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    for code in range(1 << len(pairs)):
+        yield build_graph(k, [p for b, p in enumerate(pairs) if code >> b & 1])
+
+
+@pytest.mark.parametrize("k", range(0, 5))
+def test_brute_copies_in_complete_graphs_are_subsets_times_labellings(k):
+    # a copy of h in K_n is a k-subset with one of h's k!/|Aut(h)|
+    # labelled copies on it; only the oracles are called
+    for h in _labelled_graphs(k):
+        labellings = factorial(k) // automorphism_count_brute(h)
+        for n in range(k, 8):
+            assert count_copies_brute(h, complete_graph(n)) == (
+                comb(n, k) * labellings)
+
+
+def test_brute_copies_times_automorphisms_is_injective_homs():
+    rng = random.Random(1123)
+    patterns = [_random_graph(rng, rng.randint(1, 5), rng.uniform(0.0, 1.0))
+                for _ in range(30)]
+    hosts = [_random_graph(rng, rng.randint(0, 7), rng.uniform(0.0, 1.0))
+             for _ in range(30)]
+    for h in patterns:
+        aut = automorphism_count_brute(h)
+        for g in hosts:
+            assert count_copies_brute(h, g) * aut == count_injective_homs(h, g)
 
 
 def test_injective_homs_into_complete_graphs_are_falling_factorials():

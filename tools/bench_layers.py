@@ -1,4 +1,4 @@
-"""Stage-level costs of the augmentation search, for one source tree.
+"""Stage-level costs of the search and the verify claims, for one tree.
 
     python tools/bench_layers.py [--src DIR] [--label NAME] [--sha SHA]
                                  [--out FILE]
@@ -13,7 +13,12 @@ repeat calls a short kernel often enough to take 20 ms):
 - `root_partition`, `canonical_search`, `is_planar` and the C5
   `count_copies` over the 6 966 planar classes on 8 vertices;
 - the two width-1 searches for the most C5 on 8 vertices, planar
-  C4-free and planar with no family.
+  C4-free and planar with no family;
+- `Pattern.from_graph`, `count_copies`, `count_injective_homs` and
+  `count_copies_brute` per call over the 1000 (h, g) pairs of the
+  `copy-count-oracle` claim, drawn with its seed and `_random_graph`;
+- `run_claim` of the three claims in the `verify-constructions`
+  benchmark workload.
 
 It also counts, in one untimed run of each search, the calls that the
 search makes to the canonical layer and to planarity.  The run is appended under NAME to
@@ -31,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import time
@@ -38,6 +44,11 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 REPEATS = 5
+# the claims that the `verify-constructions` benchmark workload runs
+BENCHMARK_CLAIMS = ("certification-matrix", "beta-closed-forms",
+                    "copy-count-oracle")
+# the number of (h, g) pairs that `copy-count-oracle` draws
+ORACLE_PAIRS = 1000
 
 
 def _best_of(run) -> float:
@@ -73,7 +84,7 @@ def _sha(tree: Path) -> str:
 
 
 def measure() -> dict:
-    from planar_turan import canonical, search
+    from planar_turan import canonical, search, verify
     from planar_turan.counting import Pattern, count_copies
     from planar_turan.cycles import EMPTY_FAMILY, ForbiddenFamily
     from planar_turan.graph import Graph, cycle_graph, empty_graph
@@ -154,7 +165,39 @@ def measure() -> dict:
     return {"accepted_children": children_us,
             "kernels_us_per_call": {"corpus": f"{len(corpus)} planar classes "
                                               "on 8 vertices", **kernel_us},
-            "searches_width1": search_ms, "search_calls": calls}
+            "searches_width1": search_ms, "search_calls": calls,
+            "copy_oracle_us_per_call": copy_oracle_kernels(),
+            "claims_ms": {claim: 1e3 * _best_of(lambda: verify.run_claim(claim))
+                          for claim in BENCHMARK_CLAIMS}}
+
+
+def copy_oracle_kernels() -> dict:
+    """The counting kernels of the `copy-count-oracle` claim, per call
+    over the claim's own pairs."""
+    from planar_turan import verify
+    from planar_turan.bruteforce import count_copies_brute
+    from planar_turan.counting import (Pattern, count_copies,
+                                       count_injective_homs)
+
+    rng = random.Random(verify.COPY_ORACLE_SEED)
+    pairs = []
+    for _ in range(ORACLE_PAIRS):
+        h = verify._random_graph(rng, rng.randint(1, 5), rng.uniform(0.2, 0.9))
+        g = verify._random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.7))
+        pairs.append((h, g))
+    patterns = [(Pattern.from_graph(h), g) for h, g in pairs]
+    kernels = {
+        "Pattern.from_graph": lambda: [Pattern.from_graph(h) for h, _ in pairs],
+        "count_copies": lambda: [count_copies(p, g) for p, g in patterns],
+        "count_injective_homs": lambda: [count_injective_homs(h, g)
+                                         for h, g in pairs],
+        "count_copies_brute": lambda: [count_copies_brute(h, g)
+                                       for h, g in pairs],
+    }
+    return {"corpus": f"{len(pairs)} claim pairs, "
+                      f"{len({h for h, _ in pairs})} distinct patterns",
+            **{name: 1e6 * _best_of(run) / len(pairs)
+               for name, run in kernels.items()}}
 
 
 def main() -> None:
