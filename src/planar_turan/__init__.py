@@ -8,8 +8,7 @@ verification sweeps (`verify`).  `bruteforce` holds deliberately naive
 reference implementations used to cross-check the fast paths.
 """
 
-from .canonical import (CanonicalForm, automorphism_count, canonical_form,
-                        canonical_labeling)
+from .canonical import CanonicalForm, automorphism_count, canonical_form
 from .constructions import (CertificationError, Certification,
                             ConstructionError, ConstructionOutput,
                             ConstructionSpec, GrowthProbe,
@@ -44,14 +43,14 @@ __all__ = [
     "SearchIncomplete", "TreePartition", "VerificationReport",
     "automorphism_count", "beta", "blowup_independent_set",
     "build_construction", "build_graph", "canonical_form",
-    "canonical_labeling", "ck_c4free_parallel", "complete_bipartite",
-    "complete_graph", "conjecture_family", "connected_components",
-    "count_copies", "count_cycles", "count_injective_homs",
-    "count_paths_between", "cycle_blowup", "cycle_graph", "degeneracy",
-    "disjoint_union", "empty_graph", "enumerate_constrained",
-    "even_tree_parallel_paths", "extremal_number", "from_graph6",
-    "growth_probe", "has_cycle", "induced_subgraph", "is_connected",
-    "is_family_free", "is_planar", "is_tree", "min_edge_degree_sum",
-    "path_with_edges", "pentagon_extremal", "probe_bounded_paths", "run_claim",
-    "star_graph", "to_graph6", "tree_beta_blowup", "tree_partition",
+    "ck_c4free_parallel", "complete_bipartite", "complete_graph",
+    "conjecture_family", "connected_components", "count_copies",
+    "count_cycles", "count_injective_homs", "count_paths_between",
+    "cycle_blowup", "cycle_graph", "degeneracy", "disjoint_union",
+    "empty_graph", "enumerate_constrained", "even_tree_parallel_paths",
+    "extremal_number", "from_graph6", "growth_probe", "has_cycle",
+    "induced_subgraph", "is_connected", "is_family_free", "is_planar",
+    "is_tree", "min_edge_degree_sum", "path_with_edges", "pentagon_extremal",
+    "probe_bounded_paths", "run_claim", "star_graph", "to_graph6",
+    "tree_beta_blowup", "tree_partition",
 ]

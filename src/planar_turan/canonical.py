@@ -301,12 +301,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
     return canonical_search(g)[0]
 
 
-def canonical_labeling(g: Graph) -> tuple[CanonicalForm, tuple[int, ...]]:
-    """Canonical form plus the map original-vertex -> canonical position."""
-    form, pos, _ = canonical_search(g)
-    return form, pos
-
-
 def automorphism_count(g: Graph) -> int:
     """Order of the automorphism group, read off one canonical search.
 

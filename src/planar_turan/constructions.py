@@ -1,10 +1,12 @@
 """Certified lower-bound constructions.
 
 Every builder returns a ConstructionOutput whose certification facts
-(planarity, forbidden-family freeness, pattern count) are recomputed by
-the planarity/cycles/counting modules, never asserted blindly.  A
-builder that fails its own certification raises CertificationError:
-that is a bug or an impossible parameter choice, not a soft warning.
+(planarity, forbidden-family freeness, pattern count) `_certify`
+recomputes with the planarity/cycles/counting modules, never asserting
+them blindly.  A builder that fails its own certification raises
+CertificationError: that is a bug or an impossible parameter choice,
+not a soft warning.  `_certify` also refuses a graph over the vertex
+budget n of a family sized by n, with ConstructionError.
 
 Every family sized by n is a base graph plus m copies: the blow-ups
 clone the vertices of an independent set of a tree or of C_k
@@ -58,7 +60,10 @@ class ConstructionOutput:
 
 def _certify(graph: Graph, labels: dict[str, int], family: ForbiddenFamily,
              pattern: Graph, pattern_name: str, declared: int, exact: bool,
-             count_cap: int) -> ConstructionOutput:
+             count_cap: int, budget: int | None = None) -> ConstructionOutput:
+    if budget is not None and graph.n > budget:
+        raise ConstructionError(
+            f"{graph.n} vertices exceed the vertex budget {budget}")
     planar_ok = is_planar(graph).is_planar
     family_free = is_family_free(graph, family)
     computed: int | None = None
@@ -151,7 +156,7 @@ def tree_beta_blowup(t: Graph, n: int, *,
     m = n // (2 * b)
     graph, labels = _blowup(t, chosen, m, "v")
     return _certify(graph, labels, EMPTY_FAMILY, t, "tree", m ** b, False,
-                    count_cap)
+                    count_cap, n)
 
 
 def cycle_blowup(k: int, n: int, *,
@@ -166,13 +171,11 @@ def cycle_blowup(k: int, n: int, *,
     base = cycle_graph(k)
     s = list(range(1, k, 2)) if k % 2 == 0 else list(range(1, k - 1, 2))
     graph, labels = _blowup(base, s, m, "x")
-    if graph.n > n:
-        raise ConstructionError("blow-up exceeded the vertex budget")
     # k = 4 is special: both blown classes share both junctions (K_{2,2m}),
     # so pairs within one class also close 4-cycles.
     declared = m * (2 * m - 1) if k == 4 else m ** (k // 2)
     return _certify(graph, labels, EMPTY_FAMILY, base, f"C{k}", declared,
-                    True, count_cap)
+                    True, count_cap, n)
 
 
 def even_tree_parallel_paths(t: Graph, ell: int, n: int, *,
@@ -206,10 +209,8 @@ def even_tree_parallel_paths(t: Graph, ell: int, n: int, *,
                       [w for w in t.adj[min(ends)] if w not in inside],
                       [w for w in t.adj[max(ends)] if w not in inside])
     graph = build_graph(nid, edges)
-    if graph.n > n:
-        raise ConstructionError("parallel copies exceeded the vertex budget")
     return _certify(graph, labels, ForbiddenFamily.even_cycles_through(ell),
-                    t, "tree", m ** b, False, count_cap)
+                    t, "tree", m ** b, False, count_cap, n)
 
 
 def pentagon_extremal(t: int, s: int, *,
@@ -294,10 +295,8 @@ def ck_c4free_parallel(k: int, n: int, *,
                           [si], [(si + 1) % q])
         graph = build_graph(nid, edges)
         declared = 2 * m * m - m if k == 6 else m ** q
-    if graph.n > n:
-        raise ConstructionError("bundles exceeded the vertex budget")
     return _certify(graph, labels, ForbiddenFamily.of_lengths(4),
-                    cycle_graph(k), f"C{k}", declared, True, count_cap)
+                    cycle_graph(k), f"C{k}", declared, True, count_cap, n)
 
 
 def conjecture_family(k: int, ell: int, n: int, *,
@@ -326,10 +325,8 @@ def conjecture_family(k: int, ell: int, n: int, *,
         nid = _copies(edges, labels, nid, f"W{run}", ell, range(m), [before],
                       [run])
     graph = build_graph(nid, edges)
-    if graph.n > n:
-        raise ConstructionError("parallel runs exceeded the vertex budget")
     return _certify(graph, labels, ForbiddenFamily.even_cycles_through(ell),
-                    cycle_graph(k), f"C{k}", m ** b, False, count_cap)
+                    cycle_graph(k), f"C{k}", m ** b, False, count_cap, n)
 
 
 # ======================================================================
@@ -394,7 +391,7 @@ def growth_probe(spec: ConstructionSpec, n_values: list[int]) -> GrowthProbe:
         raise ValueError("need at least 3 distinct n values")
     points: list[tuple[int, int]] = []
     for n in sorted(set(n_values)):
-        # builders never exceed their budget n, so a cap of n always recounts
+        # _certify refuses a graph over its budget n, so a cap of n always recounts
         c = build_construction(spec, n=n, count_cap=n).certification.computed_count
         if c > 0:
             points.append((n, c))

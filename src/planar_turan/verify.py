@@ -26,8 +26,8 @@ from .graph import (Graph, build_graph, cycle_graph, empty_graph,
                     path_with_edges, star_graph)
 from .params import beta, degeneracy, min_edge_degree_sum, tree_partition
 from .planarity import is_planar
-from .search import (SearchBudget, SearchIncomplete, _check, _deadline,
-                     _left, enumerate_constrained, extremal_number)
+from .search import (HARD_VERTEX_CAP, SearchBudget, SearchIncomplete, _check,
+                     _deadline, _left, enumerate_constrained, extremal_number)
 
 # the n = 8 exhaustive sweeps are opt-in via max_vertices
 CLAIM_VERTEX_CAP = 7
@@ -85,8 +85,6 @@ def random_tree(rng: random.Random, n: int) -> Graph:
         raise ValueError("n must be >= 1")
     if n == 1:
         return empty_graph(1)
-    if n == 2:
-        return build_graph(2, [(0, 1)])
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:
@@ -153,7 +151,7 @@ def _claim_c5_c4free_exact(budget: SearchBudget, deadline: float | None):
     expected = {4: 0, 5: 1, 6: 1, 7: 3, 8: 4, 9: 5}
     pat = Pattern.from_graph(cycle_graph(5), "C5")
     fam = ForbiddenFamily(frozenset({4}))
-    for n in range(4, min(budget.max_vertices, 9) + 1):
+    for n in range(4, min(budget.max_vertices, HARD_VERTEX_CAP) + 1):
         rec = extremal_number(n, pat, fam, _left(budget, deadline))
         yield {
             "instance": f"exhaustive n={n}", "expected": expected[n],

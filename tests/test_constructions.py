@@ -209,6 +209,25 @@ def test_certification_rejects_false_declarations():
                  10, True, 80)
 
 
+def test_certification_refuses_a_graph_over_its_vertex_budget():
+    with pytest.raises(ConstructionError,
+                       match="^5 vertices exceed the vertex budget 4$"):
+        _certify(cycle_graph(5), {}, EMPTY_FAMILY, cycle_graph(5), "C5",
+                 1, True, 80, 4)
+    out = _certify(cycle_graph(5), {}, EMPTY_FAMILY, cycle_graph(5), "C5",
+                   1, True, 80, 5)
+    assert out.certification.computed_count == 1
+
+
+@pytest.mark.parametrize("family, params, n", [
+    inst for inst in CERTIFICATION_MATRIX if inst[2] is not None])
+def test_families_sized_by_n_stay_within_their_budget(family, params, n):
+    for budget in range(n, n + 10):
+        out = build_construction(ConstructionSpec(family, params), n=budget,
+                                 count_cap=0)
+        assert out.graph.n <= budget
+
+
 def test_count_cap_skips_recount():
     out = cycle_blowup(4, 20, count_cap=0)
     cert = out.certification

@@ -47,7 +47,7 @@ def test_zero_vertex_graph():
 def test_degrees_and_adjacency():
     g = star_graph(3)
     assert g.degree(0) == 3
-    assert g.neighbors(0) == (1, 2, 3)
+    assert g.adj[0] == (1, 2, 3)
     assert g.degree_sequence() == (1, 1, 1, 3)
     assert all(g.degree(v) == 1 for v in (1, 2, 3))
 
