@@ -3,8 +3,9 @@
 `canonical_search` is McKay's partition backtrack ("Practical graph
 isomorphism", 1981).  A node of the search tree is an ordered partition
 of the vertices made equitable: the vertices of a cell have equally
-many neighbours in each cell.  A child individualizes one vertex v of
-the node's first non-singleton cell, as a cell (v,) just before the
+many neighbours in each cell.  Each cell is a vertex mask, one int,
+read in increasing vertex order.  A child individualizes one vertex v
+of the node's first non-singleton cell, as a cell {v} just before the
 rest of that cell, and refines again.  Leaves are discrete partitions,
 i.e. vertex orders; a leaf's code is its adjacency rows in that order,
 and the first leaf with the least code is canonical.
@@ -12,20 +13,27 @@ and the first leaf with the least code is canonical.
 Refinement counts only against fresh cells.  A round splits each cell
 by its vertices' counts against the cells that are new since the last
 round, and orders the pieces by those counts; right after an
-individualization only (v,) is fresh.  Splits and order come out as if
-every round counted against every cell: counts against an unchanged
-cell are already constant on each cell, and counts against the last
-piece of a split follow from its siblings' counts.
+individualization only {v} is fresh, and a cell splits into v's
+non-neighbours and v's neighbours by two ANDs.  Splits and order come
+out as if every round counted against every cell: counts against an
+unchanged cell are already constant on each cell, and counts against
+the last piece of a split follow from its siblings' counts.
 
 Two leaves with the same code differ by an automorphism.  Automorphisms
-found so far prune twice: a child is skipped when one that fixes the
+known so far prune twice: a child is skipped when one that fixes the
 node's individualized vertices maps it onto a child already tried; and
 a leaf with the best code sends the search straight back to the node
 where its path leaves the best leaf's path, on to that node's next
 child.  Either way the skipped subtree is the image of one already
 searched, so the first least leaf is always reached and forms and
-positions do not depend on the pruning.  `canonical_search` shows why
-the automorphisms found still generate the whole group.
+positions do not depend on the pruning.  A node screens each
+automorphism once for fixing its individualized vertices, and skips a
+child that lies in the orbits of the children tried under those, an
+orbit closure over one vertex mask.  The argument holds for every
+automorphism, so a caller that already knows some may hand them to
+`canonical_search`, which prunes with them from the start.
+`canonical_search` shows why the automorphisms found, with those
+known, still generate the whole group.
 
 The root node, the equitable refinement of the unit partition, is
 public as `root_partition`, computed from bit rows alone, so a caller
@@ -50,6 +58,9 @@ from .graph import Graph, build_graph
 
 _ISO_CAP = 64
 
+# automorphisms as vertex maps
+Generators = tuple[tuple[int, ...], ...]
+
 
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
@@ -67,51 +78,63 @@ class CanonicalForm:
         return build_graph(self.vertex_count, self.edge_list)
 
 
-def _equitable(bits: tuple[int, ...], cells: list[tuple[int, ...]],
-               fresh: list[int]) -> list[tuple[int, ...]]:
-    """Refine an ordered partition until counting against every cell is
-    stable.
+def _equitable(bits: tuple[int, ...], cells: list[int],
+               fresh: list[int]) -> list[int]:
+    """Refine an ordered partition, each cell a vertex mask, until
+    counting against every cell is stable.
 
     Each round splits every cell by its vertices' counts against the
-    `fresh` cells (as bitmasks, in partition order) and orders the pieces
-    by those counts.  Counts against every other cell must already be
-    constant on each cell, so they could neither split a cell nor order
-    its pieces.  The pieces of a split are fresh in the next round, all
-    but the last: counts against the last piece are the old cell's
-    constant count minus its siblings', so they are tied whenever the
-    siblings' counts are.
+    `fresh` cells (in partition order) and orders the pieces by those
+    counts.  Counts against every other cell must already be constant on
+    each cell, so they could neither split a cell nor order its pieces.
+    The pieces of a split are fresh in the next round, all but the last:
+    counts against the last piece are the old cell's constant count
+    minus its siblings', so they are tied whenever the siblings' counts
+    are.
 
-    A vertex's counts are packed into one int, 7 bits per fresh cell in
-    partition order; a count is at most 64, so the ints order exactly as
-    the count tuples would.  With one fresh cell the key is its count.
+    When the only fresh cell is one vertex u, as right after an
+    individualization, a cell splits into u's non-neighbours and u's
+    neighbours, two ANDs.  Otherwise a vertex's counts are packed into
+    one int, 7 bits per fresh cell in partition order; a count is at
+    most 64, so the ints order exactly as the count tuples would.  With
+    one fresh cell the key is its count.
     """
     while fresh:
-        new: list[tuple[int, ...]] = []
+        new: list[int] = []
         masks: list[int] = []
         one = fresh[0] if len(fresh) == 1 else 0  # the only fresh mask, else 0
+        if one and not one & (one - 1):
+            row = bits[one.bit_length() - 1]
+            for cell in cells:
+                low = cell & ~row
+                if low and low != cell:
+                    new.append(low)
+                    new.append(cell & row)
+                    masks.append(low)
+                else:
+                    new.append(cell)
+            cells = new
+            fresh = masks
+            continue
         for cell in cells:
-            if len(cell) > 1:
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    row = bits[v]
+            if cell & (cell - 1):
+                groups: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    row = bits[bit.bit_length() - 1]
                     if one:
                         key = (row & one).bit_count()
                     else:
                         key = 0
                         for m in fresh:
                             key = key << 7 | (row & m).bit_count()
-                    if key in groups:
-                        groups[key].append(v)
-                    else:
-                        groups[key] = [v]
+                    groups[key] = groups.get(key, 0) | bit
                 if len(groups) > 1:
                     for key in sorted(groups):
-                        piece = groups[key]
-                        new.append(tuple(piece))
-                        mask = 0
-                        for v in piece:
-                            mask |= 1 << v
-                        masks.append(mask)
+                        new.append(groups[key])
+                        masks.append(groups[key])
                     masks.pop()  # the last piece is not fresh
                     continue
             new.append(cell)
@@ -121,24 +144,20 @@ def _equitable(bits: tuple[int, ...], cells: list[tuple[int, ...]],
 
 
 class _CanonSearch:
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, known: Generators = ()):
         self.n = g.n
         self.bits = g.bits
         self.adj = g.adj
         self.best_code: tuple[int, ...] | None = None
         self.best_order: list[int] | None = None
         self.best_path: list[int] = []
-        self.generators: list[tuple[int, ...]] = []
+        self.generators: list[tuple[int, ...]] = list(known)
 
-    def run(self, root: list[tuple[int, ...]]) -> None:
+    def run(self, root: list[int]) -> None:
         """Search from `root`, the root partition."""
-        if self.n == 0:
-            self.best_code = ()
-            self.best_order = []
-            return
         self._descend(root, [], [])
 
-    def _descend(self, cells: list[tuple[int, ...]], fresh: list[int],
+    def _descend(self, cells: list[int], fresh: list[int],
                  fixed: list[int]) -> int:
         """Search below the node that individualized `fixed`; return the
         depth at which the search resumes."""
@@ -146,39 +165,46 @@ class _CanonSearch:
         depth = len(fixed)
         target = -1
         for i, cell in enumerate(cells):
-            if len(cell) > 1:
+            if cell & (cell - 1):
                 target = i
                 break
         if target < 0:
-            return self._leaf([c[0] for c in cells], fixed)
+            return self._leaf([c.bit_length() - 1 for c in cells], fixed)
         cell = cells[target]
         prefix = cells[:target]
         suffix = cells[target + 1:]
-        tried: list[int] = []
-        root: list[int] | None = None
-        known = 0  # generators that root accounts for
-        for v in cell:
+        tried = 0  # the children tried so far, as a vertex mask
+        images = 0  # their orbits under `useful`, when not `stale`
+        stale = False
+        useful: list[tuple[int, ...]] = []  # known automorphisms fixing `fixed`
+        counted = 0  # generators screened for `useful`
+        rest = cell
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
             if tried:
-                if len(self.generators) != known:
-                    known = len(self.generators)
-                    root = self._stabilizer_orbits(fixed)
+                generators = self.generators
+                if len(generators) != counted:
+                    for p in generators[counted:]:
+                        if all(p[f] == f for f in fixed):
+                            useful.append(p)
+                            stale = True
+                    counted = len(generators)
+                if stale and useful:
+                    images = _orbits_of(tried, useful)
+                    stale = False
                 # skip v if a known automorphism fixing the individualized
                 # prefix pointwise maps it into an already-tried branch
-                if root is not None and any(root[u] == root[v] for u in tried):
+                if images & bit:
                     continue
-            tried.append(v)
-            rest = tuple(w for w in cell if w != v)
-            back = self._descend(prefix + [(v,), rest] + suffix, [1 << v],
+            tried |= bit
+            stale = True
+            back = self._descend(prefix + [bit, cell ^ bit] + suffix, [bit],
                                  fixed + [v])
             if back < depth:
                 return back
         return depth
-
-    def _stabilizer_orbits(self, fixed: list[int]) -> list[int] | None:
-        """Orbit roots under the known automorphisms that fix `fixed`
-        pointwise, or None when there are none."""
-        useful = [p for p in self.generators if all(p[f] == f for f in fixed)]
-        return orbit_roots(self.n, useful) if useful else None
 
     def _leaf(self, order: list[int], fixed: list[int]) -> int:
         n = self.n
@@ -211,48 +237,67 @@ class _CanonSearch:
         return len(fixed)
 
 
+def _orbits_of(points: int, perms: list[tuple[int, ...]]) -> int:
+    """The union of the orbits of the vertices in the mask `points` under
+    the group that `perms` generate, as a mask."""
+    todo = points
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        v = bit.bit_length() - 1
+        for p in perms:
+            image = 1 << p[v]
+            if not points & image:
+                points |= image
+                todo |= image
+    return points
+
+
 def orbit_roots(size: int, perms: Sequence[Sequence[int]]) -> list[int]:
     """The least point of each point's orbit under the group that the
     permutations of range(size) generate."""
-    root = list(range(size))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
+    root = list(range(size))  # root[x] <= x: a union keeps the lesser root
     for p in perms:
         for a, b in enumerate(p):
             if a != b:
-                ra, rb = find(a), find(b)
-                if ra < rb:
-                    root[rb] = ra
-                elif rb < ra:
-                    root[ra] = rb
-    return [find(a) for a in range(size)]
+                while root[a] != a:
+                    root[a] = root[root[a]]
+                    a = root[a]
+                while root[b] != b:
+                    root[b] = root[root[b]]
+                    b = root[b]
+                if a < b:
+                    root[b] = a
+                elif b < a:
+                    root[a] = b
+    for a in range(size):  # in increasing order, root[root[a]] is final
+        root[a] = root[root[a]]
+    return root
 
 
-def root_partition(bits: tuple[int, ...]) -> list[tuple[int, ...]]:
+def root_partition(bits: tuple[int, ...]) -> list[int]:
     """The equitable refinement of the unit partition of the graph whose
-    adjacency bit rows are `bits`: the root node of `canonical_search`.
+    adjacency bit rows are `bits`: the root node of `canonical_search`,
+    each cell a vertex mask, and [] when there is no vertex.
 
     Every leaf refines the root partition in place, so the vertex at the
     last canonical position lies in its last cell; refinement commutes
     with relabelling, so every automorphism orbit lies inside one root
-    cell.  Each cell lists its vertices in increasing order.
+    cell.
     """
     n = len(bits)
     if n > _ISO_CAP:
         raise ValueError(
             f"iso tooling is capped at {_ISO_CAP} vertices (got {n}); "
             "larger hosts are supported for counting only")
-    return _equitable(bits, [tuple(range(n))], [(1 << n) - 1])
+    if not n:
+        return []
+    return _equitable(bits, [(1 << n) - 1], [(1 << n) - 1])
 
 
-def canonical_search(g: Graph, root: list[tuple[int, ...]] | None = None
-                     ) -> tuple[CanonicalForm, tuple[int, ...],
-                                tuple[tuple[int, ...], ...]]:
+def canonical_search(g: Graph, root: list[int] | None = None,
+                     known: Generators = ()
+                     ) -> tuple[CanonicalForm, tuple[int, ...], Generators]:
     """Canonical form, the map original-vertex -> canonical position, and
     automorphisms of g (as vertex maps) that generate its whole
     automorphism group.
@@ -261,6 +306,12 @@ def canonical_search(g: Graph, root: list[tuple[int, ...]] | None = None
     starts from that node instead of refining the unit partition again.
     It is the node the search would start from anyway, so the form, the
     positions and the generators are the same either way.
+
+    `known`, when given, are automorphisms of g that the search prunes
+    with from the start, as if it had found them; they head the returned
+    generators.  The form and the positions stay the same, since each
+    skipped subtree is still the image of one searched; the generators
+    found then differ, but with `known` they still generate Aut(g).
 
     Why the generators are complete.  Let b_0, ..., b_{m-1} be the
     vertices the canonical leaf's path individualizes, node k the node
@@ -277,12 +328,13 @@ def canonical_search(g: Graph, root: list[tuple[int, ...]] | None = None
     node k are still tried.  By induction over the children, the A_k-
     and G_k-orbits of b_k agree, so A_k lies in G_k A_{k+1}, and from
     A_m up, A_0 = Aut(g) is generated.  Nothing here depends on the root
-    partition being the unit partition.
+    partition being the unit partition, or on which generators were
+    known before the search began.
 
     Refinement orders cells by degree first, so the vertex at the last
     canonical position has maximum degree.
     """
-    search = _CanonSearch(g)
+    search = _CanonSearch(g, known)
     search.run(root_partition(g.bits) if root is None else root)
     order = search.best_order
     assert order is not None
@@ -316,7 +368,7 @@ def automorphism_count(g: Graph) -> int:
     path = search.best_path
     order = 1
     for k, b in enumerate(path):
-        root = search._stabilizer_orbits(path[:k])
-        if root is not None:
-            order *= root.count(root[b])
+        useful = [p for p in search.generators
+                  if all(p[f] == f for f in path[:k])]
+        order *= _orbits_of(1 << b, useful).bit_count()
     return order

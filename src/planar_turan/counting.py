@@ -119,7 +119,7 @@ def _count_embeddings(h: Graph, g: Graph, stop_at_first: bool = False) -> int:
     return rec(0, 0)
 
 
-def _is_cycle(h: Graph) -> bool:
+def is_cycle(h: Graph) -> bool:
     """True when h is the cycle C_n: n >= 3, every degree 2, connected
     (a disjoint union of cycles is 2-regular too)."""
     return (h.n >= 3 and h.edge_count == h.n
@@ -130,7 +130,7 @@ def count_copies(h: Graph | Pattern, g: Graph) -> int:
     """Number of subgraphs of g isomorphic to h.  A cycle pattern is
     counted by the cycle walker, with no automorphism count."""
     pattern_graph = h.graph if isinstance(h, Pattern) else h
-    if _is_cycle(pattern_graph):
+    if is_cycle(pattern_graph):
         return count_cycles(g, pattern_graph.n)
     aut = h.automorphisms if isinstance(h, Pattern) else automorphism_count(h)
     embeddings = _count_embeddings(pattern_graph, g)

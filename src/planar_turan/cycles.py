@@ -227,14 +227,44 @@ def closing_partners(g: Graph, family: ForbiddenFamily) -> tuple[int, ...]:
         return (0,) * g.n
     deepest = want.bit_length() - 1
     adj = g.adj
+    bits = g.bits
 
     def ends(cur: int, visited: int, depth: int) -> int:
         found = 1 << cur if want >> depth & 1 else 0
-        if depth < deepest:
-            for w in adj[cur]:
-                if not visited >> w & 1:
-                    found |= ends(w, visited | 1 << w, depth + 1)
+        if depth == deepest - 1:  # the last step is one mask
+            return found | bits[cur] & ~visited
+        for w in adj[cur]:
+            if not visited >> w & 1:
+                found |= ends(w, visited | 1 << w, depth + 1)
         return found
 
     return tuple(ends(a, 1 << a, 0) for a in range(g.n))
 
+
+def path_table(g: Graph, length: int) -> list[list[int]]:
+    """table[a][b], the number of simple paths with `length` >= 1 edges
+    from a to b; symmetric, with zeros on the diagonal.
+
+    The counting twin of `closing_partners`: a new vertex joined to a
+    mask closes, through each pair {a, b} of the mask, table[a][b]
+    cycles of length `length` + 2.
+    """
+    adj = g.adj
+    bits = g.bits
+    table = [[0] * g.n for _ in range(g.n)]
+
+    def walk(row: list[int], cur: int, visited: int, depth: int) -> None:
+        if depth == length - 1:  # the last step is one mask
+            free = bits[cur] & ~visited
+            while free:
+                bit = free & -free
+                free ^= bit
+                row[bit.bit_length() - 1] += 1
+            return
+        for w in adj[cur]:
+            if not visited >> w & 1:
+                walk(row, w, visited | 1 << w, depth + 1)
+
+    for a in range(g.n):
+        walk(table[a], a, 1 << a, 0)
+    return table

@@ -21,7 +21,12 @@ plus the mask, so a child is built as a `Graph` only when it survives
 this test; only the undecided rest get a full `canonical_search`,
 started from that partition.  The generators of Aut(child) that this
 search finds go down with the child, so its own expansion does not
-search it again for its mask orbits.  Children are kept as built, so
+search it again for its mask orbits.  On the last level no child is
+expanded, and each search there starts from automorphisms known
+already: every parent generator that maps the mask onto itself,
+extended by n -> n, is an automorphism of the child, and the search
+prunes with it from the start; the form and the positions, and so the
+parent test, are the same as unseeded.  Children are kept as built, so
 the enumeration yields each class exactly once in a deterministic
 order, but not in canonical labelling and not sorted per parent.
 
@@ -32,24 +37,32 @@ vertex are listed; the planar edge bound and the degree of the vertex
 at the last canonical position are checked on them before a child is
 built.  These filters are invariant under Aut(parent), so the masks
 kept are a union of its orbits, and the automorphisms are applied to
-them alone, not to all 2^n subsets.  Planarity runs only on children
-that pass the orbit test, and a mask that contains one whose child is
-not planar is dropped before it is refined: adding edges keeps a graph
-non-planar.
+them alone, not to all 2^n subsets: walked in increasing order, a mask
+not yet reached is the least of its orbit, and applying the generators
+until nothing new is reached marks the rest of that orbit.  Planarity
+runs only on children that pass the orbit test, and a mask that
+contains one whose child is not planar is dropped before it is refined:
+adding edges keeps a graph non-planar.
 
 Disconnected graphs are part of the search space: the extremal maximum
 quantifies over all graphs on n vertices, not only connected ones.
 
 `extremal_number` builds the trunk, every class two vertices short of
 n, in the calling process; one task per trunk graph then adds the last
-two vertices and scores the classes.  `_fan_out` shares the tasks between
-the caller and `parallel_width - 1` children forked from it, which
-share the trunk instead of receiving it pickled.  Every task index is
-in a pipe before the first fork and each process only reads from it,
-so a process that dies holding a task makes the caller raise instead
-of leaving the others waiting.  The fold of the results (sum, max,
-sorted witness set) does not depend on their order, so the record is
-the same at every width.
+two vertices and scores the classes.  A cycle pattern C_k is scored on
+the last level from the parent: every k-cycle through the new vertex v
+is v, a, a path of k - 2 edges in the parent, b, v, with a and b in the
+mask, so a child's count is its parent's plus, over the unordered pairs
+of its mask, the parent's path count between them, from one table per
+parent.  `_recertify` recounts every witness with `count_copies`, so
+each reported maximum has two routes.  `_fan_out` shares the tasks
+between the caller and `parallel_width - 1` children forked from it,
+which share the trunk instead of receiving it pickled.  Every task
+index is in a pipe before the first fork and each process only reads
+from it, so a process that dies holding a task makes the caller raise
+instead of leaving the others waiting.  The fold of the results (sum,
+max, sorted witness set) does not depend on their order, so the record
+is the same at every width.
 """
 
 from __future__ import annotations
@@ -62,20 +75,17 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from .canonical import (CanonicalForm, canonical_form, canonical_search,
-                        orbit_roots, root_partition)
-from .counting import Pattern, count_copies
+from .canonical import (CanonicalForm, Generators, canonical_form,
+                        canonical_search, orbit_roots, root_partition)
+from .counting import Pattern, count_copies, is_cycle
 from .cycles import (EMPTY_FAMILY, ForbiddenFamily, closing_partners,
-                     is_family_free)
+                     count_cycles, is_family_free, path_table)
 from .graph import Graph, empty_graph, is_connected
 from .graph6 import to_graph6
 from .planarity import is_planar
 
 DEFAULT_VERTEX_CAP = 8
 HARD_VERTEX_CAP = 9
-
-# automorphisms as vertex maps, generating a whole automorphism group
-Generators = tuple[tuple[int, ...], ...]
 
 
 class SearchIncomplete(RuntimeError):
@@ -120,26 +130,41 @@ class ExtremalRecord:
 def _orbit_least(masks: list[int], generators: Generators) -> list[int]:
     """The least mask of each orbit of the group that `generators`
     generate, on `masks`: a union of its orbits, in increasing order.
-    An image outside `masks` raises KeyError."""
-    index = {m: i for i, m in enumerate(masks)}
+    Each mask not yet reached is kept, and its orbit is reached by
+    applying the generators until it is closed.  An image outside
+    `masks` raises KeyError."""
+    members = set(masks)
     perms = []
     for p in generators:
         moved = [(1 << v, 1 << w) for v, w in enumerate(p) if v != w]
         still = sum(1 << v for v, w in enumerate(p) if v == w)
-        images = []
-        for m in masks:
-            image = m & still
-            for a, b in moved:
-                if m & a:
-                    image |= b
-            images.append(index[image])
-        perms.append(images)
-    root = orbit_roots(len(masks), perms)
-    return [m for i, m in enumerate(masks) if root[i] == i]
+        perms.append((moved, still))
+    reached: set[int] = set()
+    kept = []
+    for m in masks:
+        if m in reached:
+            continue
+        kept.append(m)
+        reached.add(m)
+        orbit = [m]
+        while orbit:
+            x = orbit.pop()
+            for moved, still in perms:
+                image = x & still
+                for a, b in moved:
+                    if x & a:
+                        image |= b
+                if image not in reached:
+                    if image not in members:
+                        raise KeyError(image)
+                    reached.add(image)
+                    orbit.append(image)
+    return kept
 
 
 def _accepted_children(parent: Graph, generators: Generators | None,
-                       family: ForbiddenFamily, require_planar: bool
+                       family: ForbiddenFamily, require_planar: bool,
+                       final: bool = False
                        ) -> list[tuple[Graph, Generators | None]]:
     """The constrained one-vertex extensions of `parent` whose canonical
     parent it is, each class once, as built: the parent's labels plus
@@ -159,9 +184,15 @@ def _accepted_children(parent: Graph, generators: Generators | None,
     is refined once: n outside its last cell rejects the child before
     any `Graph` exists.  Only then is the child built, checked for extra
     patterns, and its parent test finished: accepted when the last cell
-    is (n,), otherwise by one canonical search from that partition,
+    is {n}, otherwise by one canonical search from that partition,
     whose generators go with the child.  Planarity runs only on accepted
     children.
+
+    `final` says that no child will be expanded: then each parent
+    generator that maps the mask onto itself, extended by n -> n, is an
+    automorphism of the child, and its canonical search starts with them
+    as known.  The form, the positions and so the parent test are the
+    same; the generators that go with the child then include them.
     """
     n = parent.n
     partners = closing_partners(parent, family)
@@ -202,14 +233,19 @@ def _accepted_children(parent: Graph, generators: Generators | None,
             rows = tuple(row | 1 << n if mask >> v & 1 else row
                          for v, row in enumerate(bits)) + (mask,)
             cells = root_partition(rows)
-            if n not in cells[-1]:
+            if not cells[-1] >> n & 1:
                 continue
         child = parent.with_vertex([i for i in range(n) if mask >> i & 1])
         if family.extra_patterns and not is_family_free(child, family):
             continue
         found = None
-        if cells is not None and len(cells[-1]) > 1:
-            _, pos, found = canonical_search(child, cells)
+        if cells is not None and cells[-1] != 1 << n:
+            seeds: Generators = ()
+            if final and generators:
+                seeds = tuple(p + (n,) for p in generators
+                              if all(mask >> p[v] & 1 for v in range(n)
+                                     if mask >> v & 1))
+            _, pos, found = canonical_search(child, cells, seeds)
             last = pos.index(n)
             if last != n:
                 root = orbit_roots(n + 1, found)
@@ -307,16 +343,67 @@ def _subtree_task(node: tuple[Graph, Generators | None], *, steps: int,
     explored = 0
     best = -1
     witnesses: list[Graph] = []
-    for g, _ in _grow(*node, steps, family, require_planar,
-                      require_connected, deadline):
+    for g, c in _scored_leaves(node, steps, family, require_planar,
+                               require_connected, pattern, deadline):
         explored += 1
-        c = count_copies(pattern, g)
         if c > best:
             best = c
             witnesses = [g]
         elif c == best:
             witnesses.append(g)
     return explored, best, witnesses
+
+
+def _scored_leaves(node: tuple[Graph, Generators | None], steps: int,
+                   family: ForbiddenFamily, require_planar: bool,
+                   require_connected: bool, pattern: Pattern,
+                   deadline: float | None):
+    """Yield (leaf, pattern count) for the descendants of `node` `steps`
+    vertices down, as `_grow` yields the leaves.  The last level is
+    expanded here, with seeded canonical searches (see
+    `_accepted_children`), and a cycle pattern is counted on each
+    parent's children at once by `_cycle_counts`; any other pattern is
+    counted on each child."""
+    if steps == 0:
+        for g, _ in _grow(*node, 0, family, require_planar, require_connected,
+                          deadline):
+            yield g, count_copies(pattern, g)
+        return
+    k = pattern.graph.n if is_cycle(pattern.graph) else 0
+    for parent, generators in _grow(*node, steps - 1, family, require_planar,
+                                    False, deadline):
+        children = _accepted_children(parent, generators, family,
+                                      require_planar, final=True)
+        if k and children:
+            counts = _cycle_counts(parent, k, [c.bits[-1] for c, _ in children])
+        for i, (child, _) in enumerate(children):
+            _check(deadline)
+            if require_connected and not is_connected(child):
+                continue
+            yield child, counts[i] if k else count_copies(pattern, child)
+
+
+def _cycle_counts(parent: Graph, k: int, masks: list[int]) -> list[int]:
+    """The number of k-cycles of the child of `parent` with each mask:
+    the parent's count plus, over the unordered pairs {a, b} of the
+    mask, the parent's paths of k - 2 edges from a to b.  The parent is
+    counted and walked once for all its children."""
+    base = count_cycles(parent, k)
+    table = path_table(parent, k - 2)
+    counts = []
+    for mask in masks:
+        c = base
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            row = table[bit.bit_length() - 1]
+            rest = mask  # the vertices of the mask above this one
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                c += row[low.bit_length() - 1]
+        counts.append(c)
+    return counts
 
 
 def _fan_out(task, items, width: int):

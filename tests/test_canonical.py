@@ -263,6 +263,12 @@ def _textbook_equitable(bits, cells):
         cells = new
 
 
+def _members(cells):
+    """Mask cells as the tuples of their vertices, in increasing order."""
+    return [tuple(v for v in range(cell.bit_length()) if cell >> v & 1)
+            for cell in cells]
+
+
 def test_refinement_matches_the_textbook_refinement():
     # from the unit partition, and from each node one individualization
     # below the root, as canonical_search descends
@@ -270,14 +276,27 @@ def test_refinement_matches_the_textbook_refinement():
     for n in range(1, 8):
         for g in enumerate_constrained(n, require_planar=False):
             root = root_partition(g.bits)
-            assert root == _textbook_equitable(g.bits, [tuple(range(n))])
-            for i, cell in enumerate(root):
+            assert _members(root) == _textbook_equitable(g.bits, [tuple(range(n))])
+            for i, cell in enumerate(_members(root)):
                 if len(cell) == 1:
                     continue
                 for v in cell:
-                    cells = (root[:i] + [(v,), tuple(w for w in cell if w != v)]
+                    cells = (root[:i] + [1 << v, root[i] ^ 1 << v]
                              + root[i + 1:])
-                    assert (_equitable(g.bits, cells, [1 << v])
-                            == _textbook_equitable(g.bits, cells)), (g.edges, v)
+                    assert (_members(_equitable(g.bits, cells, [1 << v]))
+                            == _textbook_equitable(g.bits, _members(cells))), (g.edges, v)
                     individualized += 1
     assert individualized == 4779  # vertices in non-singleton root cells
+
+
+def test_root_partition_cells_are_disjoint_masks_covering_every_vertex():
+    assert root_partition(()) == []
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        cells = root_partition(_random_graph(rng, n, rng.uniform(0.1, 0.9)).bits)
+        union = 0
+        for cell in cells:
+            assert cell and not cell & union
+            union |= cell
+        assert union == (1 << n) - 1

@@ -13,6 +13,7 @@ from planar_turan.cycles import (
     count_cycles,
     has_cycle,
     is_family_free,
+    path_table,
 )
 from planar_turan.graph import (
     build_graph,
@@ -193,6 +194,41 @@ def test_closing_partners_match_new_cycles():
                             for k in family.cycle_lengths)
             assert any(partners[a] & mask for a in attach) == new_cycle, \
                 (g.edges, sorted(family.cycle_lengths), attach)
+
+
+def _path_ends(g, a):
+    """(end, edges) of every simple path from a, by a plain DFS over
+    vertex lists."""
+    found = []
+    stack = [[a]]
+    while stack:
+        path = stack.pop()
+        if len(path) > 1:
+            found.append((path[-1], len(path) - 1))
+        for w in g.adj[path[-1]]:
+            if w not in path:
+                stack.append(path + [w])
+    return found
+
+
+def test_closing_partners_and_path_table_equal_a_plain_path_dfs():
+    # closing_partners takes its last step as one mask and path_table
+    # counts its last step from one; both against every simple path
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        g = _random_graph(rng, n, rng.uniform(0.1, 0.8))
+        family = ForbiddenFamily(frozenset(rng.sample(range(3, 11), rng.randint(1, 4))))
+        ends = [_path_ends(g, a) for a in range(n)]
+        want = tuple(sum({1 << b for b, d in ends[a] if d + 2 in family.cycle_lengths})
+                     for a in range(n))
+        assert closing_partners(g, family) == want, (g.edges, family)
+        for length in range(1, 7):
+            table = [[0] * n for _ in range(n)]
+            for a in range(n):
+                for b, d in ends[a]:
+                    table[a][b] += d == length
+            assert path_table(g, length) == table, (g.edges, length)
 
 
 @PROPERTY

@@ -20,9 +20,10 @@ import pytest
 from planar_turan import search
 from planar_turan.bruteforce import (count_copies_brute, count_cycles_brute,
                                      is_planar_by_subdivision)
-from planar_turan.canonical import (canonical_form, canonical_search,
-                                    orbit_roots, root_partition)
-from planar_turan.counting import Pattern
+from planar_turan.canonical import (automorphism_count, canonical_form,
+                                    canonical_search, orbit_roots,
+                                    root_partition)
+from planar_turan.counting import Pattern, count_copies
 from planar_turan.cycles import (EMPTY_FAMILY, ForbiddenFamily,
                                  closing_partners, is_family_free)
 from planar_turan.graph import (build_graph, cycle_graph, empty_graph,
@@ -109,7 +110,7 @@ def test_last_root_cell_decides_the_parent_test_like_the_full_search():
                 orbit = _last_orbit(child)
                 cells = root_partition(child.bits)
                 assert canonical_search(child, cells) == canonical_search(child)
-                cell = cells[-1]
+                cell = tuple(v for v in range(k + 1) if cells[-1] >> v & 1)
                 assert orbit <= set(cell)
                 if k not in cell or cell == (k,):
                     assert (k in cell) == (k in orbit), (to_graph6(child), cell)
@@ -150,7 +151,7 @@ def test_a_new_vertex_of_strictly_greatest_degree_is_accepted_unrefined(
                                                       False):
                 if child.bits not in refined:
                     unrefined += 1
-                    assert real(child.bits)[-1] == (k,), to_graph6(child)
+                    assert real(child.bits)[-1] == 1 << k, to_graph6(child)
     assert unrefined
 
 
@@ -176,6 +177,108 @@ def test_handed_down_generators_are_the_childs_own(n, family, planar):
                     handed += 1
                     assert found == canonical_search(child)[2], to_graph6(child)
     assert handed
+
+
+def _group_order(n, generators):
+    """The order of the group of permutations of range(n) that
+    `generators` generate, by closing the identity under them."""
+    seen = {tuple(range(n))}
+    todo = list(seen)
+    while todo:
+        p = todo.pop()
+        for q in generators:
+            r = tuple(q[x] for x in p)
+            if r not in seen:
+                seen.add(r)
+                todo.append(r)
+    return len(seen)
+
+
+@pytest.mark.parametrize("family, planar", [
+    (EMPTY_FAMILY, False),
+    (C4_FREE, True),
+    (CLAW_FREE, True),
+])
+def test_final_level_seeds_are_automorphisms_and_change_no_form(
+        monkeypatch, family, planar):
+    # on the last level, a child's canonical search starts from the
+    # parent generators that map the mask onto itself, extended by
+    # n -> n; each must be an automorphism of the child, and the seeded
+    # search must give the unseeded form and positions, with generators
+    # of the child's whole group
+    nodes = [node for k in range(1, 7) for node in _nodes(k, family, planar)]
+    real = search.canonical_search
+    calls = []
+
+    def recorded(g, root=None, known=()):
+        result = real(g, root, known)
+        calls.append((g, known, result))
+        return result
+
+    monkeypatch.setattr(search, "canonical_search", recorded)
+    seeds = 0
+    for parent, generators in nodes:
+        calls.clear()
+        search._accepted_children(parent, generators, family, planar,
+                                  final=True)
+        for child, known, (form, pos, found) in calls:
+            if child.n == parent.n:
+                continue  # the parent's own search, unseeded
+            seeds += len(known)
+            for p in known:
+                image = {tuple(sorted((p[u], p[v]))) for u, v in child.edges}
+                assert image == set(child.edges), (to_graph6(child), p)
+            assert (form, pos) == real(child)[:2], to_graph6(child)
+            assert found[:len(known)] == known
+            assert _group_order(child.n, found) == automorphism_count(child)
+    assert seeds
+
+
+@pytest.mark.parametrize("planar", [False, True])
+def test_cycle_counts_from_the_parent_table_equal_count_copies(planar):
+    # the last level scores each child of a cycle pattern from its
+    # parent's count and path table instead of counting the child
+    children = 0
+    for n in range(1, 8):
+        for parent, generators in _nodes(n, EMPTY_FAMILY, planar):
+            kept = [child for child, _ in search._accepted_children(
+                parent, generators, EMPTY_FAMILY, planar, final=True)]
+            masks = [child.bits[-1] for child in kept]
+            for k in range(3, 8):
+                want = [count_copies(cycle_graph(k), child) for child in kept]
+                assert search._cycle_counts(parent, k, masks) == want, \
+                    (to_graph6(parent), k)
+            children += len(kept)
+    assert children == sum((ALL_CLASSES if not planar else PLANAR_CLASSES)[n]
+                           for n in range(2, 8)) + (6966 if planar else 12346)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("connected", [False, True])
+def test_extremal_number_on_at_most_three_vertices_equals_a_labelled_brute(
+        width, connected):
+    # n = 1 and 2 run no augmentation step or one: the paths into the
+    # last-level scoring that the larger searches never take
+    patterns = [empty_graph(1), path_with_edges(1), path_with_edges(2),
+                cycle_graph(3)]
+    budget = SearchBudget(parallel_width=width, time_limit=60)
+    for n in (1, 2, 3):
+        pairs = list(combinations(range(n), 2))
+        graphs = [g for g in (
+            build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            for mask in range(1 << len(pairs)))
+            if is_planar_by_subdivision(g) and (not connected or is_connected(g))]
+        classes = {canonical_form(g) for g in graphs}
+        for h in patterns:
+            counts = {g: count_copies_brute(h, g) for g in graphs}
+            best = max(counts.values())
+            rec = extremal_number(n, h, EMPTY_FAMILY, budget,
+                                  require_connected=connected)
+            assert rec.status == "complete"
+            assert rec.max_count == best, (n, h.edges)
+            assert set(rec.witnesses) == {canonical_form(g)
+                                          for g, c in counts.items() if c == best}
+            assert rec.graphs_explored == len(classes)
 
 
 def _on_masks(perm):
