@@ -28,10 +28,15 @@ child.  Either way the skipped subtree is the image of one already
 searched, so the first least leaf is always reached and forms and
 positions do not depend on the pruning.  A node screens each
 automorphism once for fixing its individualized vertices, and skips a
-child that lies in the orbits of the children tried under those, an
-orbit closure over one vertex mask.  The argument holds for every
-automorphism, so a caller that already knows some may hand them to
-`canonical_search`, which prunes with them from the start.
+child that lies in the orbits of the children tried under those, closed
+over one vertex mask by `orbits_of`, the one orbit closure here.  The
+screen is required: an automorphism that moves an individualized vertex
+maps the node onto another node, so it does not make two children of
+this node images of each other, and pruning with it loses leaves (some
+labelings of the 4-regular graph Ht`JqWt on 9 vertices then count 16
+automorphisms instead of 32).  The argument holds for every
+automorphism, found or known, so a caller that already knows some may
+hand them to `canonical_search`, which prunes with them from the start.
 `canonical_search` shows why the automorphisms found, with those
 known, still generate the whole group.
 
@@ -192,7 +197,7 @@ class _CanonSearch:
                             stale = True
                     counted = len(generators)
                 if stale and useful:
-                    images = _orbits_of(tried, useful)
+                    images = orbits_of(tried, useful)
                     stale = False
                 # skip v if a known automorphism fixing the individualized
                 # prefix pointwise maps it into an already-tried branch
@@ -237,7 +242,7 @@ class _CanonSearch:
         return len(fixed)
 
 
-def _orbits_of(points: int, perms: list[tuple[int, ...]]) -> int:
+def orbits_of(points: int, perms: Sequence[Sequence[int]]) -> int:
     """The union of the orbits of the vertices in the mask `points` under
     the group that `perms` generate, as a mask."""
     todo = points
@@ -251,28 +256,6 @@ def _orbits_of(points: int, perms: list[tuple[int, ...]]) -> int:
                 points |= image
                 todo |= image
     return points
-
-
-def orbit_roots(size: int, perms: Sequence[Sequence[int]]) -> list[int]:
-    """The least point of each point's orbit under the group that the
-    permutations of range(size) generate."""
-    root = list(range(size))  # root[x] <= x: a union keeps the lesser root
-    for p in perms:
-        for a, b in enumerate(p):
-            if a != b:
-                while root[a] != a:
-                    root[a] = root[root[a]]
-                    a = root[a]
-                while root[b] != b:
-                    root[b] = root[root[b]]
-                    b = root[b]
-                if a < b:
-                    root[b] = a
-                elif b < a:
-                    root[a] = b
-    for a in range(size):  # in increasing order, root[root[a]] is final
-        root[a] = root[root[a]]
-    return root
 
 
 def root_partition(bits: tuple[int, ...]) -> list[int]:
@@ -370,5 +353,5 @@ def automorphism_count(g: Graph) -> int:
     for k, b in enumerate(path):
         useful = [p for p in search.generators
                   if all(p[f] == f for f in path[:k])]
-        order *= _orbits_of(1 << b, useful).bit_count()
+        order *= orbits_of(1 << b, useful).bit_count()
     return order

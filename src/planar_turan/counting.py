@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import perm
 
 from .canonical import automorphism_count
-from .cycles import ForbiddenFamily, count_cycles, is_family_free
+from .cycles import ForbiddenFamily, count_cycles, is_family_free, path_row
 from .graph import Graph, is_connected
 from .graph6 import to_graph6
 
@@ -180,34 +180,22 @@ def has_injective_hom(h: Graph, g: Graph) -> bool:
 
 
 def count_paths_between(g: Graph, u: int, v: int, k: int) -> int:
-    """Paths from u to v with exactly k edges (internally simple)."""
+    """Simple paths from u to v with exactly k edges, read off
+    `cycles.path_row`."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("endpoint out of range")
     if u == v:
         raise ValueError("endpoints must be distinct")
     if k <= 0:
         return 0
-    if k == 1:
-        return 1 if g.has_edge(u, v) else 0
-    bits = g.bits
-    adj = g.adj
-    vbit = 1 << v
-
-    def rec(cur: int, visited: int, r: int) -> int:
-        if r == 2:
-            return (bits[cur] & bits[v] & ~visited & ~vbit).bit_count()
-        total = 0
-        for w in adj[cur]:
-            if w != v and not visited >> w & 1:
-                total += rec(w, visited | 1 << w, r - 1)
-        return total
-
-    return rec(u, 1 << u, k)
+    return path_row(g, u, k)[v]
 
 
 def probe_bounded_paths(graphs, ell: int, k: int) -> EmpiricalBound:
     """Max of count_paths_between(g, u, v, k) over all pairs in a stream of
-    graphs that must avoid even cycles of length <= 2*ell."""
+    graphs that must avoid even cycles of length <= 2*ell, read off one
+    `path_row` per source; the first maximizing pair in (a, b) order is
+    the witness."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if not 1 <= k <= ell:
@@ -223,11 +211,11 @@ def probe_bounded_paths(graphs, ell: int, k: int) -> EmpiricalBound:
             raise ValueError(
                 f"probe instance {instances} contains a forbidden even cycle "
                 f"(family C4..C{2 * ell})")
-        for a in range(g.n):
+        for a in range(g.n - 1):
+            row = path_row(g, a, k)
             for b in range(a + 1, g.n):
-                c = count_paths_between(g, a, b, k)
-                if c > best:
-                    best, best_graph, best_pair = c, g, (a, b)
+                if row[b] > best:
+                    best, best_graph, best_pair = row[b], g, (a, b)
     if instances == 0:
         raise ValueError("empty probe stream")
     if best_graph is None:

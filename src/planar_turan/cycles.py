@@ -241,19 +241,14 @@ def closing_partners(g: Graph, family: ForbiddenFamily) -> tuple[int, ...]:
     return tuple(ends(a, 1 << a, 0) for a in range(g.n))
 
 
-def path_table(g: Graph, length: int) -> list[list[int]]:
-    """table[a][b], the number of simple paths with `length` >= 1 edges
-    from a to b; symmetric, with zeros on the diagonal.
-
-    The counting twin of `closing_partners`: a new vertex joined to a
-    mask closes, through each pair {a, b} of the mask, table[a][b]
-    cycles of length `length` + 2.
-    """
+def path_row(g: Graph, a: int, length: int) -> list[int]:
+    """row[b], the number of simple paths with `length` >= 1 edges from a
+    to b; zero at a."""
     adj = g.adj
     bits = g.bits
-    table = [[0] * g.n for _ in range(g.n)]
+    row = [0] * g.n
 
-    def walk(row: list[int], cur: int, visited: int, depth: int) -> None:
+    def walk(cur: int, visited: int, depth: int) -> None:
         if depth == length - 1:  # the last step is one mask
             free = bits[cur] & ~visited
             while free:
@@ -263,8 +258,18 @@ def path_table(g: Graph, length: int) -> list[list[int]]:
             return
         for w in adj[cur]:
             if not visited >> w & 1:
-                walk(row, w, visited | 1 << w, depth + 1)
+                walk(w, visited | 1 << w, depth + 1)
 
-    for a in range(g.n):
-        walk(table[a], a, 1 << a, 0)
-    return table
+    walk(a, 1 << a, 0)
+    return row
+
+
+def path_table(g: Graph, length: int) -> list[list[int]]:
+    """table[a][b], the number of simple paths with `length` >= 1 edges
+    from a to b (`path_row`); symmetric, with zeros on the diagonal.
+
+    The counting twin of `closing_partners`: a new vertex joined to a
+    mask closes, through each pair {a, b} of the mask, table[a][b]
+    cycles of length `length` + 2.
+    """
+    return [path_row(g, a, length) for a in range(g.n)]

@@ -19,16 +19,17 @@ cell alone, and its child is accepted with no refinement at all.  Any
 other partition is refined from the child's bit rows, the parent's rows
 plus the mask, so a child is built as a `Graph` only when it survives
 this test; only the undecided rest get a full `canonical_search`,
-started from that partition.  The generators of Aut(child) that this
-search finds go down with the child, so its own expansion does not
-search it again for its mask orbits.  On the last level no child is
-expanded, and each search there starts from automorphisms known
-already: every parent generator that maps the mask onto itself,
-extended by n -> n, is an automorphism of the child, and the search
-prunes with it from the start; the form and the positions, and so the
-parent test, are the same as unseeded.  Children are kept as built, so
-the enumeration yields each class exactly once in a deterministic
-order, but not in canonical labelling and not sorted per parent.
+started from that partition and from automorphisms known already:
+every parent generator that maps the mask onto itself, extended by
+n -> n, is an automorphism of the child, and the search prunes with it
+from the start; the form and the positions, and so the parent test,
+are the same as unseeded.  The generators of Aut(child) that this
+search returns, those known included, go down with the child, so its
+own expansion does not search it again for its mask orbits; the
+parent test closes the orbit of the new vertex under them
+(`orbits_of`).  Children are kept as built, so the enumeration yields
+each class exactly once in a deterministic order, but not in canonical
+labelling and not sorted per parent.
 
 Planarity and forbidden cycles are hereditary under vertex deletion, so
 pruning during augmentation is sound, and each test runs at the cheapest
@@ -76,7 +77,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 from .canonical import (CanonicalForm, Generators, canonical_form,
-                        canonical_search, orbit_roots, root_partition)
+                        canonical_search, orbits_of, root_partition)
 from .counting import Pattern, count_copies, is_cycle
 from .cycles import (EMPTY_FAMILY, ForbiddenFamily, closing_partners,
                      count_cycles, is_family_free, path_table)
@@ -163,8 +164,7 @@ def _orbit_least(masks: list[int], generators: Generators) -> list[int]:
 
 
 def _accepted_children(parent: Graph, generators: Generators | None,
-                       family: ForbiddenFamily, require_planar: bool,
-                       final: bool = False
+                       family: ForbiddenFamily, require_planar: bool
                        ) -> list[tuple[Graph, Generators | None]]:
     """The constrained one-vertex extensions of `parent` whose canonical
     parent it is, each class once, as built: the parent's labels plus
@@ -185,14 +185,12 @@ def _accepted_children(parent: Graph, generators: Generators | None,
     any `Graph` exists.  Only then is the child built, checked for extra
     patterns, and its parent test finished: accepted when the last cell
     is {n}, otherwise by one canonical search from that partition,
-    whose generators go with the child.  Planarity runs only on accepted
-    children.
-
-    `final` says that no child will be expanded: then each parent
-    generator that maps the mask onto itself, extended by n -> n, is an
-    automorphism of the child, and its canonical search starts with them
-    as known.  The form, the positions and so the parent test are the
-    same; the generators that go with the child then include them.
+    whose generators go with the child.  Each parent generator that maps
+    the mask onto itself, extended by n -> n, is an automorphism of the
+    child, so that search starts with them as known: the form, the
+    positions and so the parent test are the same as unseeded, and the
+    generators that go with the child include them.  Planarity runs only
+    on accepted children.
     """
     n = parent.n
     partners = closing_partners(parent, family)
@@ -240,17 +238,12 @@ def _accepted_children(parent: Graph, generators: Generators | None,
             continue
         found = None
         if cells is not None and cells[-1] != 1 << n:
-            seeds: Generators = ()
-            if final and generators:
-                seeds = tuple(p + (n,) for p in generators
-                              if all(mask >> p[v] & 1 for v in range(n)
-                                     if mask >> v & 1))
+            seeds = tuple(p + (n,) for p in generators or ()
+                          if all(mask >> p[v] & 1 for v in range(n)
+                                 if mask >> v & 1))
             _, pos, found = canonical_search(child, cells, seeds)
-            last = pos.index(n)
-            if last != n:
-                root = orbit_roots(n + 1, found)
-                if root[last] != root[n]:
-                    continue
+            if not orbits_of(1 << n, found) >> pos.index(n) & 1:
+                continue
         if require_planar and not is_planar(child).is_planar:
             dead.append(mask)
             continue
@@ -360,10 +353,9 @@ def _scored_leaves(node: tuple[Graph, Generators | None], steps: int,
                    deadline: float | None):
     """Yield (leaf, pattern count) for the descendants of `node` `steps`
     vertices down, as `_grow` yields the leaves.  The last level is
-    expanded here, with seeded canonical searches (see
-    `_accepted_children`), and a cycle pattern is counted on each
-    parent's children at once by `_cycle_counts`; any other pattern is
-    counted on each child."""
+    expanded here, and a cycle pattern is counted on each parent's
+    children at once by `_cycle_counts`; any other pattern is counted on
+    each child."""
     if steps == 0:
         for g, _ in _grow(*node, 0, family, require_planar, require_connected,
                           deadline):
@@ -373,7 +365,7 @@ def _scored_leaves(node: tuple[Graph, Generators | None], steps: int,
     for parent, generators in _grow(*node, steps - 1, family, require_planar,
                                     False, deadline):
         children = _accepted_children(parent, generators, family,
-                                      require_planar, final=True)
+                                      require_planar)
         if k and children:
             counts = _cycle_counts(parent, k, [c.bits[-1] for c, _ in children])
         for i, (child, _) in enumerate(children):

@@ -18,7 +18,7 @@ from planar_turan.canonical import (
     automorphism_count,
     canonical_form,
     canonical_search,
-    orbit_roots,
+    orbits_of,
     root_partition,
 )
 from planar_turan.graph import (
@@ -238,11 +238,40 @@ def test_last_canonical_position_has_maximum_degree():
         assert g.degree(pos.index(n - 1)) == max(g.degree(v) for v in range(n))
 
 
-def test_orbit_roots_are_least_members():
+def _orbit_masks(size, perms):
+    """The orbit of each point of range(size), as a vertex mask."""
+    return [orbits_of(1 << v, perms) for v in range(size)]
+
+
+def test_orbits_of_closes_each_orbit():
     # (0 1 2)(3 4) and the identity on 5
-    assert orbit_roots(6, [(1, 2, 0, 4, 3, 5)]) == [0, 0, 0, 3, 3, 5]
-    assert orbit_roots(4, []) == [0, 1, 2, 3]
-    assert orbit_roots(4, [(0, 1, 3, 2), (1, 0, 2, 3), (0, 2, 1, 3)]) == [0] * 4
+    assert _orbit_masks(6, [(1, 2, 0, 4, 3, 5)]) == [7, 7, 7, 24, 24, 32]
+    assert _orbit_masks(4, []) == [1, 2, 4, 8]
+    assert _orbit_masks(4, [(0, 1, 3, 2), (1, 0, 2, 3), (0, 2, 1, 3)]) == [15] * 4
+    # a mask of several points closes to the union of their orbits
+    assert orbits_of(0b1001, [(1, 2, 0, 4, 3, 5)]) == 0b11111
+    assert orbits_of(0, [(1, 0)]) == 0
+
+
+def test_descend_prunes_only_with_automorphisms_fixing_its_prefix():
+    # a node skips a child only by automorphisms that fix its
+    # individualized vertices; one that moves them maps the node onto
+    # another node and proves nothing about its children.  Pruning with
+    # every known automorphism goes wrong first above 8 vertices: on
+    # some labelings of this 4-regular graph on 9 vertices it counts 16
+    # automorphisms, not 32
+    g = from_graph6("Ht`JqWt")
+    assert g.n == 9 and {g.degree(v) for v in range(9)} == {4}
+    assert automorphism_count_brute(g) == 32
+    rng = random.Random(2029)
+    forms = set()
+    for _ in range(12):
+        order = list(range(9))
+        rng.shuffle(order)
+        h = build_graph(9, [(order[u], order[v]) for u, v in g.edges])
+        assert automorphism_count(h) == 32, to_graph6(h)
+        forms.add(canonical_form(h))
+    assert len(forms) == 1
 
 
 def _textbook_equitable(bits, cells):

@@ -19,7 +19,7 @@ from planar_turan.counting import (
     has_injective_hom,
     probe_bounded_paths,
 )
-from planar_turan.cycles import count_cycles
+from planar_turan.cycles import ForbiddenFamily, count_cycles, is_family_free
 from planar_turan.graph import (
     build_graph,
     complete_bipartite,
@@ -30,6 +30,7 @@ from planar_turan.graph import (
     path_with_edges,
     star_graph,
 )
+from planar_turan.graph6 import to_graph6
 
 # few examples and no example database: tier-1 stays fast and leaves no files
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
@@ -282,6 +283,43 @@ def test_probe_bounded_paths():
     assert bound.observed_max == 1
     assert bound.parameters == {"ell": 2, "k": 1, "instances": 3}
     assert bound.witness_pair is not None
+
+
+def _random_free_host(rng, n, family):
+    """A random graph on n vertices free of `family`'s cycles: the pairs
+    in random order, each kept with probability 0.7 when it closes no
+    forbidden cycle."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    edges = []
+    for pair in pairs:
+        if rng.random() < 0.7 and is_family_free(build_graph(n, edges + [pair]),
+                                                 family):
+            edges.append(pair)
+    return build_graph(n, edges)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_probe_bounded_paths_equals_an_all_pairs_brute_scan(ell):
+    # the probe reads one path row per source; the maximum, and the first
+    # graph and pair in (a, b) order that reach it, must be those of a
+    # scan of every pair by count_paths_brute
+    family = ForbiddenFamily.even_cycles_through(ell)
+    rng = random.Random(100 + ell)
+    for k in range(1, ell + 1):
+        for _ in range(8):
+            hosts = [_random_free_host(rng, rng.randint(2, 9), family)
+                     for _ in range(3)]
+            best, witness = -1, None
+            for g in hosts:
+                for a in range(g.n):
+                    for b in range(a + 1, g.n):
+                        c = count_paths_brute(g, a, b, k)
+                        if c > best:
+                            best, witness = c, (to_graph6(g), (a, b))
+            bound = probe_bounded_paths(hosts, ell, k)
+            assert bound.observed_max == best
+            assert (bound.witness_graph6, bound.witness_pair) == witness, k
 
 
 def test_probe_bounded_paths_validation():

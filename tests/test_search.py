@@ -21,7 +21,7 @@ from planar_turan import search
 from planar_turan.bruteforce import (count_copies_brute, count_cycles_brute,
                                      is_planar_by_subdivision)
 from planar_turan.canonical import (automorphism_count, canonical_form,
-                                    canonical_search, orbit_roots,
+                                    canonical_search, orbits_of,
                                     root_partition)
 from planar_turan.counting import Pattern, count_copies
 from planar_turan.cycles import (EMPTY_FAMILY, ForbiddenFamily,
@@ -91,9 +91,8 @@ def _last_orbit(child):
     by the full search; McKay's parent test asks that the new vertex be
     in it."""
     _, pos, generators = canonical_search(child)
-    root = orbit_roots(child.n, generators)
-    last = root[pos.index(child.n - 1)]
-    return {v for v in range(child.n) if root[v] == last}
+    orbit = orbits_of(1 << pos.index(child.n - 1), generators)
+    return {v for v in range(child.n) if orbit >> v & 1}
 
 
 def test_last_root_cell_decides_the_parent_test_like_the_full_search():
@@ -160,14 +159,25 @@ def test_a_new_vertex_of_strictly_greatest_degree_is_accepted_unrefined(
     (7, C4_FREE, True),
     (7, CLAW_FREE, True),
 ])
-def test_handed_down_generators_are_the_childs_own(n, family, planar):
+def test_handed_down_generators_are_the_childs_own(monkeypatch, n, family,
+                                                   planar):
     # a child whose parent test needed a canonical search keeps the
     # generators it found, so its own expansion does not search again;
-    # they are the ones a fresh search of the child returns, and the
-    # children are the same as with the parent's generators recomputed
+    # they are the ones a fresh search of the child with the same seeds
+    # returns, they generate the child's whole group, and the children
+    # are the same as with the parent's generators recomputed
+    real = search.canonical_search
+    seeded = {}
+
+    def recorded(g, root=None, known=()):
+        seeded[id(g)] = known
+        return real(g, root, known)
+
+    monkeypatch.setattr(search, "canonical_search", recorded)
     handed = 0
     for k in range(1, n):
         for parent, generators in _nodes(k, family, planar):
+            seeded.clear()
             given = search._accepted_children(parent, generators, family,
                                               planar)
             fresh = search._accepted_children(parent, None, family, planar)
@@ -175,7 +185,11 @@ def test_handed_down_generators_are_the_childs_own(n, family, planar):
             for child, found in given:
                 if found is not None:
                     handed += 1
-                    assert found == canonical_search(child)[2], to_graph6(child)
+                    seeds = seeded[id(child)]
+                    assert found == canonical_search(child, None, seeds)[2], \
+                        to_graph6(child)
+                    assert _group_order(child.n, found) == \
+                        automorphism_count(child), to_graph6(child)
     assert handed
 
 
@@ -201,7 +215,7 @@ def _group_order(n, generators):
 ])
 def test_final_level_seeds_are_automorphisms_and_change_no_form(
         monkeypatch, family, planar):
-    # on the last level, a child's canonical search starts from the
+    # on every level, a child's canonical search starts from the
     # parent generators that map the mask onto itself, extended by
     # n -> n; each must be an automorphism of the child, and the seeded
     # search must give the unseeded form and positions, with generators
@@ -219,8 +233,7 @@ def test_final_level_seeds_are_automorphisms_and_change_no_form(
     seeds = 0
     for parent, generators in nodes:
         calls.clear()
-        search._accepted_children(parent, generators, family, planar,
-                                  final=True)
+        search._accepted_children(parent, generators, family, planar)
         for child, known, (form, pos, found) in calls:
             if child.n == parent.n:
                 continue  # the parent's own search, unseeded
@@ -242,7 +255,7 @@ def test_cycle_counts_from_the_parent_table_equal_count_copies(planar):
     for n in range(1, 8):
         for parent, generators in _nodes(n, EMPTY_FAMILY, planar):
             kept = [child for child, _ in search._accepted_children(
-                parent, generators, EMPTY_FAMILY, planar, final=True)]
+                parent, generators, EMPTY_FAMILY, planar)]
             masks = [child.bits[-1] for child in kept]
             for k in range(3, 8):
                 want = [count_copies(cycle_graph(k), child) for child in kept]
@@ -321,8 +334,10 @@ def test_orbits_on_the_kept_masks_are_the_orbits_on_all_masks(
                 assert seen == []
                 continue
             assert seen == [kept]
-            root = orbit_roots(1 << k, [_on_masks(p) for p in generators])
-            assert real(kept, generators) == [m for m in kept if root[m] == m]
+            on_masks = [_on_masks(p) for p in generators]
+            assert real(kept, generators) == [
+                m for m in kept
+                if not orbits_of(1 << m, on_masks) & ((1 << m) - 1)]
             pruned += len(kept) > len(real(kept, generators))
     assert pruned
     with pytest.raises(KeyError):  # {0} is not closed under swapping 0, 1
