@@ -48,10 +48,12 @@ adding edges keeps a graph non-planar.
 Disconnected graphs are part of the search space: the extremal maximum
 quantifies over all graphs on n vertices, not only connected ones.
 
-`extremal_number` builds the trunk, every class two vertices short of
-n, in the calling process; one task per trunk graph then adds the last
-two vertices and scores the classes.  A cycle pattern C_k is scored on
-the last level from the parent: every k-cycle through the new vertex v
+Every search is one walk down the augmentation tree, `_grow`, from the
+empty graph, whose only child is K1.  `extremal_number` takes from it
+the trunk, every class two vertices short of n, in the calling process;
+one task per trunk graph then walks the last two levels, and `_grow`
+scores the last level as it expands it.  A cycle pattern C_k is scored
+on the last level from the parent: every k-cycle through the new vertex v
 is v, a, a path of k - 2 edges in the parent, b, v, with a and b in the
 mask, so a child's count is its parent's plus, over the unordered pairs
 of its mask, the parent's path count between them, from one table per
@@ -61,9 +63,10 @@ between the caller and `parallel_width - 1` children forked from it,
 which share the trunk instead of receiving it pickled.  Every task
 index is in a pipe before the first fork and each process only reads
 from it, so a process that dies holding a task makes the caller raise
-instead of leaving the others waiting.  The fold of the results (sum,
-max, sorted witness set) does not depend on their order, so the record
-is the same at every width.
+instead of leaving the others waiting.  One fold, `_fold`, sums the
+leaves of a task and then the results of the tasks (sum, max, witness
+set, sorted in the record); it does not depend on their order, so the
+record is the same at every width.
 """
 
 from __future__ import annotations
@@ -205,7 +208,7 @@ def _accepted_children(parent: Graph, generators: Generators | None,
     # The vertex at the last canonical position has maximum degree, so
     # the new vertex needs at least as many neighbours as any old vertex
     # and one more than an old vertex of top degree that it joins.
-    top = max(len(row) for row in parent.adj)
+    top = max((len(row) for row in parent.adj), default=0)
     at_top = sum(1 << v for v in range(n) if len(parent.adj[v]) == top)
     masks = [m for m in free if top <= m.bit_count() <= max_attach
              and not (m.bit_count() == top and m & at_top)]
@@ -262,24 +265,40 @@ def _check_n(n: int, budget: SearchBudget) -> None:
             f"to opt in to larger runs")
 
 
-def _grow(parent: Graph, generators: Generators | None, steps: int,
+def _grow(node: tuple[Graph, Generators | None], steps: int,
           family: ForbiddenFamily, require_planar: bool,
-          require_connected: bool, deadline: float | None):
-    """Yield the descendants of `parent` `steps` vertices down, depth
-    first (the order of building level by level too), only connected ones
-    with `require_connected`, each with the generators of its
-    automorphism group that its parent test found, or None.  Raises
-    SearchIncomplete once the deadline has passed, checked before each
-    graph is extended or yielded."""
+          require_connected: bool, pattern: Pattern | None,
+          deadline: float | None):
+    """Yield (graph, generators or None, count or None) for the
+    descendants of `node`, a (graph, generators or None) pair, `steps`
+    >= 1 vertices down, depth first (the order of building level by
+    level too), only connected ones with `require_connected`.  The
+    generators are those its parent test found; the count is that of
+    `pattern`, None without one: a cycle pattern is counted on each last
+    parent's children at once by `_cycle_counts`, any other by
+    `count_copies`.  Raises SearchIncomplete once the deadline has
+    passed, checked before each graph is extended or yielded."""
     _check(deadline)
-    if steps == 0:
-        if not require_connected or is_connected(parent):
-            yield parent, generators
+    parent, generators = node
+    children = _accepted_children(parent, generators, family, require_planar)
+    if steps > 1:
+        for child in children:
+            yield from _grow(child, steps - 1, family, require_planar,
+                             require_connected, pattern, deadline)
         return
-    for child, found in _accepted_children(parent, generators, family,
-                                           require_planar):
-        yield from _grow(child, found, steps - 1, family, require_planar,
-                         require_connected, deadline)
+    k = (pattern.graph.n if pattern is not None and is_cycle(pattern.graph)
+         else 0)
+    if k and children:
+        counts = _cycle_counts(parent, k, [c.bits[-1] for c, _ in children])
+    for i, (child, found) in enumerate(children):
+        _check(deadline)
+        if require_connected and not is_connected(child):
+            continue
+        if k:
+            count = counts[i]
+        else:
+            count = None if pattern is None else count_copies(pattern, child)
+        yield child, found, count
 
 
 def _deadline(budget: SearchBudget) -> float | None:
@@ -317,8 +336,8 @@ def enumerate_constrained(n: int, family: ForbiddenFamily = EMPTY_FAMILY,
     stream depth first, so the first arrives at once."""
     budget = budget or SearchBudget()
     _check_n(n, budget)
-    for g, _ in _grow(empty_graph(1), None, n - 1, family, require_planar,
-                      require_connected, _deadline(budget)):
+    for g, _, _ in _grow((empty_graph(0), None), n, family, require_planar,
+                         require_connected, None, _deadline(budget)):
         yield g
 
 
@@ -330,49 +349,26 @@ def _subtree_task(node: tuple[Graph, Generators | None], *, steps: int,
                   family: ForbiddenFamily, require_planar: bool,
                   require_connected: bool, pattern: Pattern,
                   deadline: float | None) -> tuple[int, int, list[Graph]]:
-    """Extend one trunk graph, given with its generators or None as
-    `_grow` yields it, by `steps` vertices and scan the result; returns
-    (explored, local_max, witnesses attaining local_max)."""
-    explored = 0
-    best = -1
-    witnesses: list[Graph] = []
-    for g, c in _scored_leaves(node, steps, family, require_planar,
-                               require_connected, pattern, deadline):
-        explored += 1
-        if c > best:
-            best = c
-            witnesses = [g]
-        elif c == best:
-            witnesses.append(g)
-    return explored, best, witnesses
+    """Extend one trunk graph, given with its generators or None, by
+    `steps` >= 1 vertices and fold the scored leaves: (explored,
+    local_max, witnesses attaining local_max), local_max -1 for none."""
+    leaves = _grow(node, steps, family, require_planar, require_connected,
+                   pattern, deadline)
+    return tuple(_fold([0, -1, []], ((1, c, [g]) for g, _, c in leaves)))
 
 
-def _scored_leaves(node: tuple[Graph, Generators | None], steps: int,
-                   family: ForbiddenFamily, require_planar: bool,
-                   require_connected: bool, pattern: Pattern,
-                   deadline: float | None):
-    """Yield (leaf, pattern count) for the descendants of `node` `steps`
-    vertices down, as `_grow` yields the leaves.  The last level is
-    expanded here, and a cycle pattern is counted on each parent's
-    children at once by `_cycle_counts`; any other pattern is counted on
-    each child."""
-    if steps == 0:
-        for g, _ in _grow(*node, 0, family, require_planar, require_connected,
-                          deadline):
-            yield g, count_copies(pattern, g)
-        return
-    k = pattern.graph.n if is_cycle(pattern.graph) else 0
-    for parent, generators in _grow(*node, steps - 1, family, require_planar,
-                                    False, deadline):
-        children = _accepted_children(parent, generators, family,
-                                      require_planar)
-        if k and children:
-            counts = _cycle_counts(parent, k, [c.bits[-1] for c, _ in children])
-        for i, (child, _) in enumerate(children):
-            _check(deadline)
-            if require_connected and not is_connected(child):
-                continue
-            yield child, counts[i] if k else count_copies(pattern, child)
+def _fold(total: list, parts) -> list:
+    """Fold (explored, max, witnesses) triples into the list `total`
+    of the same three, in place, so what was folded before an exception
+    stays: the counts add up and the witness lists (taken over, not
+    copied) of the greatest max join, in any order of `parts`."""
+    for explored, best, found in parts:
+        total[0] += explored
+        if best > total[1]:
+            total[1:] = best, found
+        elif best == total[1]:
+            total[2].extend(found)
+    return total
 
 
 def _cycle_counts(parent: Graph, k: int, masks: list[int]) -> list[int]:
@@ -522,29 +518,25 @@ def extremal_number(n: int, pattern: Graph | Pattern,
 
     # Serial trunk to level n-2, then one task per trunk graph for the
     # final two augmentation levels plus counting.
-    split = max(1, n - 2)
+    split = max(0, n - 2)
     task = partial(_subtree_task, steps=n - split, family=family,
                    require_planar=require_planar,
                    require_connected=require_connected, pattern=pattern,
                    deadline=deadline)
-    explored = 0
-    best = -1
-    found: list[Graph] = []
+    total = [0, -1, []]
     status = "complete"
     try:
-        trunk = list(_grow(empty_graph(1), None, split - 1, family,
-                           require_planar, False, deadline))
+        root = (empty_graph(0), None)
+        trunk = [root] if split == 0 else [
+            (g, gens) for g, gens, _ in _grow(root, split, family,
+                                              require_planar, False, None,
+                                              deadline)]
         width = min(budget.parallel_width, len(trunk))
-        for sub_explored, sub_best, sub_found in _fan_out(task, trunk, width):
-            explored += sub_explored
-            if sub_best > best:
-                best = sub_best
-                found = sub_found
-            elif sub_best == best:
-                found.extend(sub_found)
+        _fold(total, _fan_out(task, trunk, width))
     except SearchIncomplete:
         status = "incomplete"
 
+    explored, best, found = total
     best = max(best, 0)  # -1 means no class was scanned, so found is empty
     witnesses = tuple(sorted({canonical_form(g) for g in found}))
     record = ExtremalRecord(n, pattern, family, best, witnesses, explored,

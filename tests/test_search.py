@@ -123,8 +123,8 @@ def test_last_root_cell_decides_the_parent_test_like_the_full_search():
 def _nodes(n, family, planar):
     """The classes on n vertices with the generators that the search
     hands down with each, as the augmentation meets them."""
-    return list(search._grow(empty_graph(1), None, n - 1, family, planar,
-                             False, None))
+    return [(g, generators) for g, generators, _ in search._grow(
+        (empty_graph(0), None), n, family, planar, False, None, None)]
 
 
 def test_a_new_vertex_of_strictly_greatest_degree_is_accepted_unrefined(
@@ -266,12 +266,18 @@ def test_cycle_counts_from_the_parent_table_equal_count_copies(planar):
                            for n in range(2, 8)) + (6966 if planar else 12346)
 
 
+@pytest.mark.parametrize("family", [
+    EMPTY_FAMILY, ForbiddenFamily.of_lengths(3),
+    ForbiddenFamily(frozenset(), (empty_graph(1),)),
+    ForbiddenFamily(frozenset(), (path_with_edges(1),))],
+    ids=["none", "C3", "K1", "P1"])
 @pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize("connected", [False, True])
 def test_extremal_number_on_at_most_three_vertices_equals_a_labelled_brute(
-        width, connected):
-    # n = 1 and 2 run no augmentation step or one: the paths into the
-    # last-level scoring that the larger searches never take
+        width, connected, family):
+    # every search starts from the empty graph, so n = 1 and 2 run one
+    # augmentation step or two, the second scored on the last level; an
+    # extra pattern of one vertex or one edge already bites there
     patterns = [empty_graph(1), path_with_edges(1), path_with_edges(2),
                 cycle_graph(3)]
     budget = SearchBudget(parallel_width=width, time_limit=60)
@@ -280,12 +286,17 @@ def test_extremal_number_on_at_most_three_vertices_equals_a_labelled_brute(
         graphs = [g for g in (
             build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
             for mask in range(1 << len(pairs)))
-            if is_planar_by_subdivision(g) and (not connected or is_connected(g))]
+            if is_planar_by_subdivision(g) and (not connected or is_connected(g))
+            and not any(count_cycles_brute(g, k) for k in family.cycle_lengths)
+            and not any(count_copies_brute(h, g)
+                        for h in family.extra_patterns)]
         classes = {canonical_form(g) for g in graphs}
+        assert {canonical_form(g) for g in enumerate_constrained(
+            n, family, require_connected=connected)} == classes
         for h in patterns:
             counts = {g: count_copies_brute(h, g) for g in graphs}
-            best = max(counts.values())
-            rec = extremal_number(n, h, EMPTY_FAMILY, budget,
+            best = max(counts.values(), default=0)
+            rec = extremal_number(n, h, family, budget,
                                   require_connected=connected)
             assert rec.status == "complete"
             assert rec.max_count == best, (n, h.edges)
@@ -462,7 +473,7 @@ def test_enumeration_streams_the_first_class_at_once(monkeypatch):
     monkeypatch.setattr(search, "_accepted_children", counted)
     first = next(enumerate_constrained(7))
     assert first.n == 7
-    assert calls == [1, 2, 3, 4, 5, 6]
+    assert calls == [0, 1, 2, 3, 4, 5, 6]
 
 
 def test_extremal_pentagon_values():
@@ -683,8 +694,8 @@ def test_incomplete_record_folds_every_finished_task(monkeypatch, width, k):
     # at n = 7 the trunk is the planar C4-free graphs on 5 vertices, and
     # each task adds two vertices; the k-th task stops its process
     pattern = Pattern.from_graph(cycle_graph(5))
-    trunk = list(search._grow(empty_graph(1), None, 4, C4_FREE, True, False,
-                              None))
+    trunk = [(g, generators) for g, generators, _ in search._grow(
+        (empty_graph(0), None), 5, C4_FREE, True, False, None, None)]
     real = search._subtree_task
     scans = [real(node, steps=2, family=C4_FREE, require_planar=True,
                   require_connected=False, pattern=pattern, deadline=None)

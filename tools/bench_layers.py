@@ -94,8 +94,8 @@ def measure() -> dict:
     c5 = Pattern.from_graph(cycle_graph(5))
 
     def level(n: int, family) -> list:
-        return list(search._grow(empty_graph(1), None, n - 1, family,
-                                 True, False, None))
+        return [(g, generators) for g, generators, _ in search._grow(
+            (empty_graph(0), None), n, family, True, False, None, None)]
 
     def expand(nodes: list, family) -> None:
         for parent, generators in nodes:
