@@ -25,7 +25,7 @@ node's individualized vertices maps it onto a child already tried; and
 a leaf with the best code sends the search straight back to the node
 where its path leaves the best leaf's path, on to that node's next
 child.  Either way the skipped subtree is the image of one already
-searched, so the first least leaf is always reached and forms and
+searched, so the first least leaf is always reached and its path and
 positions do not depend on the pruning.  A node screens each
 automorphism once for fixing its individualized vertices, and skips a
 child that lies in the orbits of the children tried under those, closed
@@ -46,9 +46,10 @@ can judge a graph by its root cells before building it;
 `canonical_search` then takes that partition as its start node instead
 of refining again.
 
-Automorphism counting needs no second search: `automorphism_count`
-multiplies the orbit sizes of those generators' stabilizer chain along
-the canonical leaf's path.
+`canonical_search` alone runs the backtrack and returns the canonical
+leaf's path, the positions and those generators: `canonical_form` builds
+the form from the positions, and `automorphism_count` multiplies the
+orbit sizes of the generators' stabilizer chain along the path.
 
 Everything here is capped at 64 vertices: bitset rows stay machine-sized
 and the desk-scale contracts never need more.
@@ -157,10 +158,6 @@ class _CanonSearch:
         self.best_order: list[int] | None = None
         self.best_path: list[int] = []
         self.generators: list[tuple[int, ...]] = list(known)
-
-    def run(self, root: list[int]) -> None:
-        """Search from `root`, the root partition."""
-        self._descend(root, [], [])
 
     def _descend(self, cells: list[int], fresh: list[int],
                  fixed: list[int]) -> int:
@@ -280,19 +277,21 @@ def root_partition(bits: tuple[int, ...]) -> list[int]:
 
 def canonical_search(g: Graph, root: list[int] | None = None,
                      known: Generators = ()
-                     ) -> tuple[CanonicalForm, tuple[int, ...], Generators]:
-    """Canonical form, the map original-vertex -> canonical position, and
+                     ) -> tuple[tuple[int, ...], tuple[int, ...], Generators]:
+    """The canonical leaf's path (the vertices it individualizes, in
+    order), the map original-vertex -> canonical position, and
     automorphisms of g (as vertex maps) that generate its whole
-    automorphism group.
+    automorphism group.  No form is built here; `canonical_form` builds
+    it from the positions.
 
     `root`, when given, must be `root_partition(g.bits)`: the search
     starts from that node instead of refining the unit partition again.
-    It is the node the search would start from anyway, so the form, the
+    It is the node the search would start from anyway, so the path, the
     positions and the generators are the same either way.
 
     `known`, when given, are automorphisms of g that the search prunes
     with from the start, as if it had found them; they head the returned
-    generators.  The form and the positions stay the same, since each
+    generators.  The path and the positions stay the same, since each
     skipped subtree is still the image of one searched; the generators
     found then differ, but with `known` they still generate Aut(g).
 
@@ -318,40 +317,38 @@ def canonical_search(g: Graph, root: list[int] | None = None,
     canonical position has maximum degree.
     """
     search = _CanonSearch(g, known)
-    search.run(root_partition(g.bits) if root is None else root)
+    search._descend(root_partition(g.bits) if root is None else root, [], [])
     order = search.best_order
     assert order is not None
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
-    edges = tuple(sorted(
-        (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
-        for u, v in g.edges))
-    form = CanonicalForm(g.n, edges)
-    return form, tuple(pos), tuple(search.generators)
+    return tuple(search.best_path), tuple(pos), tuple(search.generators)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical form; equal for two graphs iff they are isomorphic."""
-    return canonical_search(g)[0]
+    """Canonical form; equal for two graphs iff they are isomorphic.  It
+    is g's edge list relabelled by `canonical_search`'s positions."""
+    _, pos, _ = canonical_search(g)
+    edges = tuple(sorted(
+        (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
+        for u, v in g.edges))
+    return CanonicalForm(g.n, edges)
 
 
 def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group, read off one canonical search.
+    """Order of the automorphism group, read off `canonical_search`.
 
-    With b_0, ..., b_{m-1} the canonical leaf's path, it is the product
-    over k of the orbit size of b_k under the returned generators that
-    fix b_0..b_{k-1}.  The `canonical_search` docstring shows that these
+    With b_0, ..., b_{m-1} the returned path, it is the product over k
+    of the orbit size of b_k under the returned generators that fix
+    b_0..b_{k-1}.  The `canonical_search` docstring shows that these
     generators generate A_k, the automorphisms fixing b_0..b_{k-1}, and
     that A_m is trivial; orbit-stabilizer gives |A_k| = |A_k-orbit of
     b_k| * |A_{k+1}|.
     """
-    search = _CanonSearch(g)
-    search.run(root_partition(g.bits))
-    path = search.best_path
+    path, _, generators = canonical_search(g)
     order = 1
     for k, b in enumerate(path):
-        useful = [p for p in search.generators
-                  if all(p[f] == f for f in path[:k])]
+        useful = [p for p in generators if all(p[f] == f for f in path[:k])]
         order *= orbits_of(1 << b, useful).bit_count()
     return order

@@ -399,8 +399,6 @@ def growth_probe(spec: ConstructionSpec, n_values: list[int]) -> GrowthProbe:
         raise ValueError(f"only {len(points)} usable points (zero counts dropped)")
     xs = [math.log(n) for n, _ in points]
     ys = [math.log(c) for _, c in points]
-    if len(set(xs)) == 1:
-        raise ValueError("all n values coincide after filtering")
     slope, intercept = statistics.linear_regression(xs, ys)
     residuals = tuple(y - (slope * x + intercept) for x, y in zip(xs, ys))
     return GrowthProbe(spec, tuple(points), slope, intercept, residuals)

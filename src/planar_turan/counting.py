@@ -180,15 +180,16 @@ def has_injective_hom(h: Graph, g: Graph) -> bool:
 
 
 def count_paths_between(g: Graph, u: int, v: int, k: int) -> int:
-    """Simple paths from u to v with exactly k edges, read off
-    `cycles.path_row`."""
+    """Simple paths from u to v with exactly k edges: the paths of k - 1
+    edges from u that avoid v (`cycles.path_row`), summed over N(v)."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("endpoint out of range")
     if u == v:
         raise ValueError("endpoints must be distinct")
-    if k <= 0:
-        return 0
-    return path_row(g, u, k)[v]
+    if k <= 1:
+        return int(k == 1 and g.has_edge(u, v))
+    row = path_row(g, u, k - 1, 1 << v)
+    return sum(row[w] for w in g.adj[v])
 
 
 def probe_bounded_paths(graphs, ell: int, k: int) -> EmpiricalBound:

@@ -241,9 +241,9 @@ def closing_partners(g: Graph, family: ForbiddenFamily) -> tuple[int, ...]:
     return tuple(ends(a, 1 << a, 0) for a in range(g.n))
 
 
-def path_row(g: Graph, a: int, length: int) -> list[int]:
+def path_row(g: Graph, a: int, length: int, visited: int = 0) -> list[int]:
     """row[b], the number of simple paths with `length` >= 1 edges from a
-    to b; zero at a."""
+    to b that avoid the vertex mask `visited`; zero at a."""
     adj = g.adj
     bits = g.bits
     row = [0] * g.n
@@ -260,7 +260,7 @@ def path_row(g: Graph, a: int, length: int) -> list[int]:
             if not visited >> w & 1:
                 walk(w, visited | 1 << w, depth + 1)
 
-    walk(a, 1 << a, 0)
+    walk(a, visited | 1 << a, 0)
     return row
 
 

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import pytest
 
-from planar_turan import search
+from planar_turan import canonical, search
 from planar_turan.bruteforce import (count_copies_brute, count_cycles_brute,
                                      is_planar_by_subdivision)
 from planar_turan.canonical import (automorphism_count, canonical_form,
@@ -218,7 +218,7 @@ def test_final_level_seeds_are_automorphisms_and_change_no_form(
     # on every level, a child's canonical search starts from the
     # parent generators that map the mask onto itself, extended by
     # n -> n; each must be an automorphism of the child, and the seeded
-    # search must give the unseeded form and positions, with generators
+    # search must give the unseeded path and positions, with generators
     # of the child's whole group
     nodes = [node for k in range(1, 7) for node in _nodes(k, family, planar)]
     real = search.canonical_search
@@ -234,17 +234,34 @@ def test_final_level_seeds_are_automorphisms_and_change_no_form(
     for parent, generators in nodes:
         calls.clear()
         search._accepted_children(parent, generators, family, planar)
-        for child, known, (form, pos, found) in calls:
+        for child, known, (path, pos, found) in calls:
             if child.n == parent.n:
                 continue  # the parent's own search, unseeded
             seeds += len(known)
             for p in known:
                 image = {tuple(sorted((p[u], p[v]))) for u, v in child.edges}
                 assert image == set(child.edges), (to_graph6(child), p)
-            assert (form, pos) == real(child)[:2], to_graph6(child)
+            assert (path, pos) == real(child)[:2], to_graph6(child)
             assert found[:len(known)] == known
             assert _group_order(child.n, found) == automorphism_count(child)
     assert seeds
+
+
+def test_search_builds_a_form_only_for_each_witness(monkeypatch):
+    # the augmentation search reads positions and generators off
+    # canonical_search; a CanonicalForm is built only by canonical_form,
+    # once per witness of the record
+    built = []
+
+    class Counted(canonical.CanonicalForm):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(canonical, "CanonicalForm", Counted)
+    rec = extremal_number(8, cycle_graph(5), C4_FREE)
+    assert (rec.max_count, rec.graphs_explored) == (4, 351)
+    assert len(built) == len(rec.witnesses) == 1
 
 
 @pytest.mark.parametrize("planar", [False, True])
