@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 
 from .constructions import (CONSTRUCTION_FAMILIES, CertificationError,
                             ConstructionSpec, build_construction)
@@ -416,16 +417,24 @@ def _build_parser() -> _Parser:
 
 def _check_outputs(args) -> None:
     """Refuse, before any work, an output path whose directory is missing
-    or that is itself a directory; `table` writes <base>.csv and
-    <base>.json, so both are checked."""
+    or cannot be written, or that is itself a directory; `table` writes
+    <base>.csv and <base>.json, so both are checked.  A file is made and
+    removed in the directory: `os.access` says yes to root for /proc."""
     if not args.output:
         return
     suffixes = (".csv", ".json") if args.command == "table" else ("",)
     for path in (args.output + suffix for suffix in suffixes):
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not os.path.isdir(os.path.dirname(path) or "."):
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    try:
+        fd, probe = tempfile.mkstemp(prefix=".planar-turan-probe-", dir=directory)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    os.close(fd)
+    os.remove(probe)
 
 
 def main(argv: list[str] | None = None) -> int:

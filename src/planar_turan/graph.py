@@ -122,8 +122,9 @@ def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
         bits[v] |= 1 << u
         nbrs[u].append(v)
         nbrs[v].append(u)
-    adj = tuple(tuple(sorted(row)) for row in nbrs)
-    return Graph(n, sorted_edges, adj, tuple(bits))
+    # sorted edges fill a row in order: its smaller neighbours u from
+    # the edges (u, row), then its larger ones v from the edges (row, v)
+    return Graph(n, sorted_edges, tuple(map(tuple, nbrs)), tuple(bits))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:

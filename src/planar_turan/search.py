@@ -81,7 +81,7 @@ from functools import partial
 
 from .canonical import (CanonicalForm, Generators, canonical_form,
                         canonical_search, orbits_of, root_partition)
-from .counting import Pattern, count_copies, is_cycle
+from .counting import Pattern, count_copies
 from .cycles import (EMPTY_FAMILY, ForbiddenFamily, closing_partners,
                      count_cycles, is_family_free, path_table)
 from .graph import Graph, empty_graph, is_connected
@@ -286,8 +286,7 @@ def _grow(node: tuple[Graph, Generators | None], steps: int,
             yield from _grow(child, steps - 1, family, require_planar,
                              require_connected, pattern, deadline)
         return
-    k = (pattern.graph.n if pattern is not None and is_cycle(pattern.graph)
-         else 0)
+    k = 0 if pattern is None else pattern.cycle_length
     if k and children:
         counts = _cycle_counts(parent, k, [c.bits[-1] for c, _ in children])
     for i, (child, found) in enumerate(children):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import json
 import os
 import threading
@@ -585,6 +586,46 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert target in lines[0] and "Traceback" not in captured.err
     assert ran == []  # refused before the subcommand did any work
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "8", "--pattern", "C5"],
+    ["table", "--spec", "extremal n=4..6 pattern=C5 forbid=C4"],
+], ids=lambda argv: argv[0])
+def test_directory_that_refuses_new_files_is_refused_first(
+        tmp_path, capsys, monkeypatch, argv):
+    # os.access says yes to root for a directory such as /proc that
+    # refuses new files, so the output directory is probed by creating a
+    # file in it; here the creation fails as it would there
+    ran = []
+    for name in [name for name in vars(cli) if name.startswith("_cmd_")]:
+        monkeypatch.setattr(cli, name, lambda args: ran.append(args) or 0)
+    tried = []
+
+    def refuse(*args, dir=None, **kwargs):
+        tried.append(dir)
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                              os.path.join(dir, "probe"))
+
+    monkeypatch.setattr(cli.tempfile, "mkstemp", refuse)
+    target = str(tmp_path / "x")
+    assert main([*argv, "--output", target]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error: ") and "Traceback" not in captured.err
+    assert target in lines[0] and os.strerror(errno.EACCES) in lines[0]
+    assert tried == [str(tmp_path)] and ran == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_probe_leaves_only_the_output(tmp_path, capsys):
+    target = tmp_path / "x.json"
+    assert main(["count", "--graph", "K4", "--pattern", "C3",
+                 "--output", str(target)]) == EXIT_PASS
+    capsys.readouterr()
+    assert list(tmp_path.iterdir()) == [target]
+    assert json.loads(target.read_text())["count"] == 4
 
 
 def test_table_whose_json_is_a_directory_leaves_no_csv(tmp_path, capsys):

@@ -31,6 +31,7 @@ from planar_turan.graph import (
     star_graph,
 )
 from planar_turan.graph6 import to_graph6
+from planar_turan.search import enumerate_constrained
 
 # few examples and no example database: tier-1 stays fast and leaves no files
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
@@ -230,6 +231,43 @@ def test_pattern_reuse():
     assert pat.automorphisms == 10
     assert pat.name == "C5"
     assert count_copies(pat, cycle_graph(5)) == 1
+
+
+def test_compiled_fields_follow_the_graph():
+    c5 = Pattern.from_graph(cycle_graph(5).relabel([2, 4, 1, 0, 3]))
+    assert (c5.cycle_length, c5.plan) == (5, None)
+    two_triangles = Pattern.from_graph(disjoint_union([cycle_graph(3)] * 2))
+    assert two_triangles.cycle_length == 0 and two_triangles.plan is not None
+    for h in LEAFY_PATTERNS + [path_with_edges(4), complete_graph(4)]:
+        plan = Pattern.from_graph(h).plan
+        assert sorted(plan.order) == list(range(h.n))
+        for i, v in enumerate(plan.order):
+            assert plan.placed[i] == tuple(
+                j for j in range(i) if h.has_edge(v, plan.order[j]))
+            assert plan.degrees[i] == h.degree(v)
+        # the trailing run: every position from tail on, and none before
+        # it, has the last position's placed neighbours
+        assert all(plan.placed[i] == plan.placed[-1]
+                   for i in range(plan.tail, h.n))
+        assert plan.tail == 0 or plan.placed[plan.tail - 1] != plan.placed[-1]
+    assert Pattern.from_graph(star_graph(4)).plan.tail == 1
+
+
+def test_compiled_and_bare_patterns_agree_with_both_oracles():
+    # every class on 1-5 vertices, compiled once and as a bare graph,
+    # against every class on at most 6 vertices; a pattern's labelled
+    # copies and contained-copy counts are cached by the brute force, so
+    # patterns of one size and edge count must not share them
+    hosts = [g for n in range(1, 7)
+             for g in enumerate_constrained(n, require_planar=False)]
+    for k in range(1, 6):
+        for h in enumerate_constrained(k, require_planar=False):
+            pattern = Pattern.from_graph(h)
+            for g in hosts:
+                copies = count_copies(pattern, g)
+                assert count_copies(h, g) == copies == count_copies_brute(h, g)
+                assert (copies * pattern.automorphisms
+                        == count_injective_homs(h, g))
 
 
 def test_pattern_larger_than_host():

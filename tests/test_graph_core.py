@@ -164,3 +164,22 @@ def test_pickle_roundtrip():
     assert clone == g
     assert clone.adj == g.adj
     assert clone.bits == g.bits
+
+
+def test_rows_come_out_sorted_from_any_edge_order():
+    # build_graph fills each row from the sorted edge list and sorts no
+    # row itself; shuffled, duplicated and reversed pairs must not matter
+    rng = random.Random(2718)
+    for _ in range(200):
+        n, p = rng.randint(0, 12), rng.uniform(0.1, 0.9)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < p]
+        given = edges + rng.sample(edges, len(edges) // 2)
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in given]
+        rng.shuffle(given)
+        g = build_graph(n, given)
+        assert g == build_graph(n, edges)
+        for v, row in enumerate(g.adj):
+            assert list(row) == sorted(row)
+            assert sum(1 << w for w in row) == g.bits[v]
+            assert len(set(row)) == len(row)

@@ -795,6 +795,20 @@ def test_extremal_accepts_pattern_object():
     assert rec.max_count > 0
 
 
+@pytest.mark.parametrize("h, name", [(cycle_graph(5), "C5"),
+                                     (star_graph(3), "K1_3")])
+def test_records_of_a_hand_built_and_a_compiled_pattern_are_equal(h, name):
+    # the cycle length and the embedding plan follow from the graph, so
+    # they take no part in equality or hashing
+    built = Pattern(h, automorphism_count(h), name)
+    compiled = Pattern.from_graph(h, name)
+    assert built == compiled and hash(built) == hash(compiled)
+    searched = extremal_number(6, compiled, EMPTY_FAMILY)
+    by_hand = dataclasses.replace(searched, pattern=built)
+    assert by_hand == searched and hash(by_hand) == hash(searched)
+    assert extremal_number(6, built, EMPTY_FAMILY) == searched
+
+
 @pytest.mark.parametrize("planar, connected",
                          [(False, False), (True, True), (False, True)])
 def test_record_json_keeps_the_search_flags(planar, connected):
