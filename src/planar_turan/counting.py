@@ -1,15 +1,13 @@
 """Copy, embedding and path counts.
 
 Copies of a pattern h in a host g are subgraphs of g isomorphic to h.
-count_copies is the one place that picks the counter: a cycle pattern
-C_k goes to the cycle walker (`cycles.count_cycles`); any other pattern
-is counted as injective homomorphisms by backtracking in a
+A `Pattern`, h compiled once, is the one place that picks the counter:
+a cycle C_k goes to the cycle walker (`cycles`), any other pattern is
+counted as injective homomorphisms by backtracking in a
 connectivity-first vertex order with bitmask candidate filtering, then
-divided by |Aut(h)|.
-
-A `Pattern` is a pattern compiled once for all the hosts it is counted
-in: its automorphism count, its cycle length and any other pattern's
-embedding plan; `count_copies` compiles a bare graph on entry.
+divided by |Aut(h)|.  The same choice scores a search parent's children
+(`Pattern.count_children`) and tests a host for a forbidden pattern
+(`Pattern.occurs_in`).  `count_copies` compiles a bare graph on entry.
 
 The end of the order is counted, not walked.  Its trailing run of t
 vertices whose placed neighbours are the same list S is closed in one
@@ -34,12 +32,14 @@ each other.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import perm
 from typing import NamedTuple
 
 from .canonical import automorphism_count
-from .cycles import ForbiddenFamily, count_cycles, is_family_free, path_row
+from .cycles import (ForbiddenFamily, count_cycles, has_cycle, is_family_free,
+                     path_row)
 from .graph import Graph, is_connected
 from .graph6 import to_graph6
 
@@ -103,7 +103,48 @@ class Pattern:
 
     @classmethod
     def from_graph(cls, g: Graph, name: str | None = None) -> Pattern:
-        return cls(g, automorphism_count(g), name)
+        # |Aut C_k| = 2k, the dihedral group: no search, no vertex cap
+        return cls(g, 2 * _cycle_length(g) or automorphism_count(g), name)
+
+    def occurs_in(self, g: Graph) -> bool:
+        """True when g contains a copy of the pattern; stops at the first."""
+        if self.cycle_length:
+            return has_cycle(g, self.cycle_length)
+        return _count_embeddings(self.graph, self.plan, g,
+                                 stop_at_first=True) > 0
+
+    def count_children(self, parent: Graph,
+                       children: list[Graph]) -> Iterable[int]:
+        """The count in each child, a child being `parent` plus a new
+        vertex joined to the mask children[i].bits[-1].  C_k is counted
+        from the parent once for all its children, and not at all with
+        none: a k-cycle through the new vertex v is v, a, a path of k - 2
+        edges in the parent, b, v with a and b in the mask, so a child
+        adds to the parent's count its paths between each pair of the
+        mask (`path_row`).  Any other pattern is counted in each child
+        as it is read."""
+        k = self.cycle_length
+        if not k:
+            return (count_copies(self, child) for child in children)
+        if not children:
+            return []
+        base = count_cycles(parent, k)
+        rows = [path_row(parent, a, k - 2) for a in range(parent.n)]
+        counts = []
+        for child in children:
+            mask = child.bits[-1]
+            c = base
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                row = rows[bit.bit_length() - 1]
+                rest = mask  # the vertices of the mask above this one
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    c += row[low.bit_length() - 1]
+            counts.append(c)
+        return counts
 
 
 @dataclass(frozen=True)
@@ -155,12 +196,9 @@ def _count_embeddings(h: Graph, plan: _Plan, g: Graph,
 
 
 def count_copies(h: Graph | Pattern, g: Graph) -> int:
-    """Number of subgraphs of g isomorphic to h.  A cycle pattern is
-    counted by the cycle walker with no automorphism count, so a bare
-    cycle is not compiled; any other bare graph is compiled on entry."""
+    """Number of subgraphs of g isomorphic to h, a bare graph compiled
+    on entry."""
     if isinstance(h, Graph):
-        if _cycle_length(h):
-            return count_cycles(g, h.n)
         h = Pattern.from_graph(h)
     if h.cycle_length:
         return count_cycles(g, h.cycle_length)
@@ -207,11 +245,6 @@ def count_injective_homs(h: Graph, g: Graph) -> int:
         return total
 
     return rec(0, 0)
-
-
-def has_injective_hom(h: Graph, g: Graph) -> bool:
-    """Early-exit variant: does g contain a copy of h at all?"""
-    return _count_embeddings(h, _plan(h), g, stop_at_first=True) > 0
 
 
 def count_paths_between(g: Graph, u: int, v: int, k: int) -> int:

@@ -30,27 +30,39 @@ members of length 3); the swap carries those pairs along on both
 sides, so the counts still agree.  k = 4 leaves no room for a chain
 of length >= 2, and at k = 5 only a chain from the anchor landing on
 v2 would fit, so the C4 and C5 walks build no classes.
+
+A `ForbiddenFamily` compiles its extra patterns once, when it is built,
+into `counting.Pattern`s, and `is_family_free` asks each of them
+whether it occurs in the host (`Pattern.occurs_in`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import Graph
 
 
 @dataclass(frozen=True)
 class ForbiddenFamily:
-    """Cycle lengths to exclude, plus optional extra pattern graphs."""
+    """Cycle lengths to exclude, plus optional extra pattern graphs,
+    compiled once into `counting.Pattern`s (`compiled`, left out of
+    equality since it follows from `extra_patterns`)."""
 
     cycle_lengths: frozenset[int]
     extra_patterns: tuple[Graph, ...] = ()
+    compiled: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for length in self.cycle_lengths:
             if length < 3:
                 raise ValueError(f"cycle length {length} is not a cycle")
+        compiled = ()
+        if self.extra_patterns:
+            from .counting import Pattern  # deferred: counting imports cycles
+            compiled = tuple(map(Pattern.from_graph, self.extra_patterns))
+        object.__setattr__(self, "compiled", compiled)
 
     @classmethod
     def of_lengths(cls, *lengths: int) -> ForbiddenFamily:
@@ -202,12 +214,7 @@ def is_family_free(g: Graph, family: ForbiddenFamily) -> bool:
     for length in family.sorted_lengths:
         if has_cycle(g, length):
             return False
-    if family.extra_patterns:
-        from .counting import has_injective_hom  # deferred: counting imports cycles
-        for pattern in family.extra_patterns:
-            if has_injective_hom(pattern, g):
-                return False
-    return True
+    return not any(pattern.occurs_in(g) for pattern in family.compiled)
 
 
 def closing_partners(g: Graph, family: ForbiddenFamily) -> tuple[int, ...]:
@@ -263,13 +270,3 @@ def path_row(g: Graph, a: int, length: int, visited: int = 0) -> list[int]:
     walk(a, visited | 1 << a, 0)
     return row
 
-
-def path_table(g: Graph, length: int) -> list[list[int]]:
-    """table[a][b], the number of simple paths with `length` >= 1 edges
-    from a to b (`path_row`); symmetric, with zeros on the diagonal.
-
-    The counting twin of `closing_partners`: a new vertex joined to a
-    mask closes, through each pair {a, b} of the mask, table[a][b]
-    cycles of length `length` + 2.
-    """
-    return [path_row(g, a, length) for a in range(g.n)]

@@ -52,21 +52,17 @@ Every search is one walk down the augmentation tree, `_grow`, from the
 empty graph, whose only child is K1.  `extremal_number` takes from it
 the trunk, every class two vertices short of n, in the calling process;
 one task per trunk graph then walks the last two levels, and `_grow`
-scores the last level as it expands it.  A cycle pattern C_k is scored
-on the last level from the parent: every k-cycle through the new vertex v
-is v, a, a path of k - 2 edges in the parent, b, v, with a and b in the
-mask, so a child's count is its parent's plus, over the unordered pairs
-of its mask, the parent's path count between them, from one table per
-parent.  `_recertify` recounts every witness with `count_copies`, so
-each reported maximum has two routes.  `_fan_out` shares the tasks
-between the caller and `parallel_width - 1` children forked from it,
-which share the trunk instead of receiving it pickled.  Every task
-index is in a pipe before the first fork and each process only reads
-from it, so a process that dies holding a task makes the caller raise
-instead of leaving the others waiting.  One fold, `_fold`, sums the
-leaves of a task and then the results of the tasks (sum, max, witness
-set, sorted in the record); it does not depend on their order, so the
-record is the same at every width.
+scores the last level as it expands it, each parent's children at once
+(`Pattern.count_children`).  `_recertify` recounts every witness with
+`count_copies`, so each reported maximum has two routes.  `_fan_out`
+shares the tasks between the caller and `parallel_width - 1` children
+forked from it, which share the trunk instead of receiving it pickled.
+Every task index is in a pipe before the first fork and each process
+only reads from it, so a process that dies holding a task makes the
+caller raise instead of leaving the others waiting.  One fold, `_fold`,
+sums the leaves of a task and then the results of the tasks (sum, max,
+witness set, sorted in the record); it does not depend on their order,
+so the record is the same at every width.
 """
 
 from __future__ import annotations
@@ -83,7 +79,7 @@ from .canonical import (CanonicalForm, Generators, canonical_form,
                         canonical_search, orbits_of, root_partition)
 from .counting import Pattern, count_copies
 from .cycles import (EMPTY_FAMILY, ForbiddenFamily, closing_partners,
-                     count_cycles, is_family_free, path_table)
+                     is_family_free)
 from .graph import Graph, empty_graph, is_connected
 from .graph6 import to_graph6
 from .planarity import is_planar
@@ -185,15 +181,16 @@ def _accepted_children(parent: Graph, generators: Generators | None,
     is alone in the child's last root cell, so it is accepted at once;
     any other mask gives the child's bit rows, and their root partition
     is refined once: n outside its last cell rejects the child before
-    any `Graph` exists.  Only then is the child built, checked for extra
-    patterns, and its parent test finished: accepted when the last cell
-    is {n}, otherwise by one canonical search from that partition,
-    whose generators go with the child.  Each parent generator that maps
-    the mask onto itself, extended by n -> n, is an automorphism of the
-    child, so that search starts with them as known: the form, the
-    positions and so the parent test are the same as unseeded, and the
-    generators that go with the child include them.  Planarity runs only
-    on accepted children.
+    any `Graph` exists.  Only then is the child built, checked for the
+    family's extra patterns (the masks exclude its cycles), and its
+    parent test finished: accepted when the last cell is {n}, otherwise
+    by one canonical search from that partition, whose generators go
+    with the child.  Each parent generator that maps the mask onto
+    itself, extended by n -> n, is an automorphism of the child, so that
+    search starts with them as known: the form, the positions and so the
+    parent test are the same as unseeded, and the generators that go
+    with the child include them.  Planarity runs only on accepted
+    children.
     """
     n = parent.n
     partners = closing_partners(parent, family)
@@ -237,7 +234,7 @@ def _accepted_children(parent: Graph, generators: Generators | None,
             if not cells[-1] >> n & 1:
                 continue
         child = parent.with_vertex([i for i in range(n) if mask >> i & 1])
-        if family.extra_patterns and not is_family_free(child, family):
+        if family.compiled and any(p.occurs_in(child) for p in family.compiled):
             continue
         found = None
         if cells is not None and cells[-1] != 1 << n:
@@ -274,10 +271,10 @@ def _grow(node: tuple[Graph, Generators | None], steps: int,
     >= 1 vertices down, depth first (the order of building level by
     level too), only connected ones with `require_connected`.  The
     generators are those its parent test found; the count is that of
-    `pattern`, None without one: a cycle pattern is counted on each last
-    parent's children at once by `_cycle_counts`, any other by
-    `count_copies`.  Raises SearchIncomplete once the deadline has
-    passed, checked before each graph is extended or yielded."""
+    `pattern`, None without one, taken for each last parent's children
+    at once (`Pattern.count_children`).  Raises SearchIncomplete once
+    the deadline has passed, checked before each graph is extended or
+    yielded."""
     _check(deadline)
     parent, generators = node
     children = _accepted_children(parent, generators, family, require_planar)
@@ -286,17 +283,12 @@ def _grow(node: tuple[Graph, Generators | None], steps: int,
             yield from _grow(child, steps - 1, family, require_planar,
                              require_connected, pattern, deadline)
         return
-    k = 0 if pattern is None else pattern.cycle_length
-    if k and children:
-        counts = _cycle_counts(parent, k, [c.bits[-1] for c, _ in children])
-    for i, (child, found) in enumerate(children):
+    if require_connected:
+        children = [c for c in children if is_connected(c[0])]
+    counts = ([None] * len(children) if pattern is None
+              else pattern.count_children(parent, [g for g, _ in children]))
+    for (child, found), count in zip(children, counts):
         _check(deadline)
-        if require_connected and not is_connected(child):
-            continue
-        if k:
-            count = counts[i]
-        else:
-            count = None if pattern is None else count_copies(pattern, child)
         yield child, found, count
 
 
@@ -368,29 +360,6 @@ def _fold(total: list, parts) -> list:
         elif best == total[1]:
             total[2].extend(found)
     return total
-
-
-def _cycle_counts(parent: Graph, k: int, masks: list[int]) -> list[int]:
-    """The number of k-cycles of the child of `parent` with each mask:
-    the parent's count plus, over the unordered pairs {a, b} of the
-    mask, the parent's paths of k - 2 edges from a to b.  The parent is
-    counted and walked once for all its children."""
-    base = count_cycles(parent, k)
-    table = path_table(parent, k - 2)
-    counts = []
-    for mask in masks:
-        c = base
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            row = table[bit.bit_length() - 1]
-            rest = mask  # the vertices of the mask above this one
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                c += row[low.bit_length() - 1]
-        counts.append(c)
-    return counts
 
 
 def _fan_out(task, items, width: int):

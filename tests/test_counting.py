@@ -16,7 +16,6 @@ from planar_turan.counting import (
     count_copies,
     count_injective_homs,
     count_paths_between,
-    has_injective_hom,
     probe_bounded_paths,
 )
 from planar_turan.cycles import ForbiddenFamily, count_cycles, is_family_free
@@ -113,7 +112,7 @@ def test_leafy_patterns_copies_times_automorphisms_is_injective_homs():
         for g in hosts:
             homs = count_injective_homs(h, g)
             assert count_copies(h, g) * aut == homs
-            assert has_injective_hom(h, g) == (homs > 0)
+            assert Pattern.from_graph(h).occurs_in(g) == (homs > 0)
 
 
 @pytest.mark.parametrize("t", range(3, 7))
@@ -236,6 +235,12 @@ def test_pattern_reuse():
 def test_compiled_fields_follow_the_graph():
     c5 = Pattern.from_graph(cycle_graph(5).relabel([2, 4, 1, 0, 3]))
     assert (c5.cycle_length, c5.plan) == (5, None)
+    # a cycle takes |Aut C_k| = 2k, the dihedral group, from the closed form
+    for k in range(3, 13):
+        for c in (cycle_graph(k), cycle_graph(k).relabel(
+                random.Random(k).sample(range(k), k))):
+            assert (Pattern.from_graph(c).automorphisms
+                    == automorphism_count(c) == 2 * k)
     two_triangles = Pattern.from_graph(disjoint_union([cycle_graph(3)] * 2))
     assert two_triangles.cycle_length == 0 and two_triangles.plan is not None
     for h in LEAFY_PATTERNS + [path_with_edges(4), complete_graph(4)]:
@@ -273,19 +278,22 @@ def test_compiled_and_bare_patterns_agree_with_both_oracles():
 def test_pattern_larger_than_host():
     assert count_copies(complete_graph(5), complete_graph(4)) == 0
     assert count_injective_homs(complete_graph(5), complete_graph(4)) == 0
-    assert not has_injective_hom(complete_graph(5), complete_graph(4))
+    assert not Pattern.from_graph(complete_graph(5)).occurs_in(complete_graph(4))
 
 
-def test_has_injective_hom():
-    assert has_injective_hom(path_with_edges(3), cycle_graph(6))
-    assert has_injective_hom(star_graph(3), complete_graph(4))
-    assert not has_injective_hom(cycle_graph(4), cycle_graph(5))
-    assert not has_injective_hom(star_graph(3), cycle_graph(8))
+def test_pattern_occurs_in():
+    def occurs(h, g):
+        return Pattern.from_graph(h).occurs_in(g)
+
+    assert occurs(path_with_edges(3), cycle_graph(6))
+    assert occurs(star_graph(3), complete_graph(4))
+    assert not occurs(cycle_graph(4), cycle_graph(5))
+    assert not occurs(star_graph(3), cycle_graph(8))
     rng = random.Random(654)
     for _ in range(120):
         h = _random_graph(rng, rng.randint(1, 4), rng.uniform(0.2, 0.9))
         g = _random_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.8))
-        assert has_injective_hom(h, g) == (count_copies(h, g) > 0)
+        assert occurs(h, g) == (count_copies(h, g) > 0)
 
 
 def test_count_paths_between_frozen():

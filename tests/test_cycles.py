@@ -13,7 +13,7 @@ from planar_turan.cycles import (
     count_cycles,
     has_cycle,
     is_family_free,
-    path_table,
+    path_row,
 )
 from planar_turan.graph import (
     build_graph,
@@ -180,6 +180,24 @@ def test_extra_patterns_in_family():
     assert is_family_free(path_with_edges(4), claw_free)
 
 
+def test_extra_patterns_are_compiled_once_out_of_equality():
+    claw_free = ForbiddenFamily(frozenset(), extra_patterns=(star_graph(3),))
+    again = ForbiddenFamily(frozenset(), extra_patterns=(star_graph(3),))
+    assert [p.graph for p in claw_free.compiled] == [star_graph(3)]
+    assert claw_free == again and hash(claw_free) == hash(again)
+    assert repr(claw_free) == ("ForbiddenFamily(cycle_lengths=frozenset(), "
+                               "extra_patterns=(Graph(n=4, m=3),))")
+    assert EMPTY_FAMILY.compiled == ()
+    # C_k compiles with the closed form |Aut C_k| = 2k, above the 64
+    # vertices of canonical's cap too; any other pattern there is refused
+    c70_free = ForbiddenFamily(frozenset(), (cycle_graph(70),))
+    chord = build_graph(70, [*cycle_graph(70).edges, (0, 35)])
+    for g in [cycle_graph(k) for k in range(68, 73)] + [chord, path_with_edges(80)]:
+        assert is_family_free(g, c70_free) == (not has_cycle(g, 70))
+    with pytest.raises(ValueError, match="capped at 64"):
+        ForbiddenFamily(frozenset(), (path_with_edges(64),))
+
+
 def test_closing_partners_match_new_cycles():
     rng = random.Random(2024)
     for _ in range(60):
@@ -211,8 +229,8 @@ def _path_ends(g, a):
     return found
 
 
-def test_closing_partners_and_path_table_equal_a_plain_path_dfs():
-    # closing_partners takes its last step as one mask and path_table
+def test_closing_partners_and_path_rows_equal_a_plain_path_dfs():
+    # closing_partners takes its last step as one mask and path_row
     # counts its last step from one; both against every simple path
     rng = random.Random(77)
     for _ in range(300):
@@ -228,7 +246,8 @@ def test_closing_partners_and_path_table_equal_a_plain_path_dfs():
             for a in range(n):
                 for b, d in ends[a]:
                     table[a][b] += d == length
-            assert path_table(g, length) == table, (g.edges, length)
+            assert [path_row(g, a, length) for a in range(n)] == table, \
+                (g.edges, length)
 
 
 @PROPERTY

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import pytest
 
-from planar_turan import canonical, search
+from planar_turan import canonical, counting, search
 from planar_turan.bruteforce import (count_copies_brute, count_cycles_brute,
                                      is_planar_by_subdivision)
 from planar_turan.canonical import (automorphism_count, canonical_form,
@@ -26,8 +26,9 @@ from planar_turan.canonical import (automorphism_count, canonical_form,
 from planar_turan.counting import Pattern, count_copies
 from planar_turan.cycles import (EMPTY_FAMILY, ForbiddenFamily,
                                  closing_partners, is_family_free)
-from planar_turan.graph import (build_graph, cycle_graph, empty_graph,
-                                is_connected, path_with_edges, star_graph)
+from planar_turan.graph import (build_graph, complete_graph, cycle_graph,
+                                empty_graph, is_connected, path_with_edges,
+                                star_graph)
 from planar_turan.graph6 import from_graph6, to_graph6
 from planar_turan.planarity import is_planar
 from planar_turan.search import (
@@ -265,22 +266,62 @@ def test_search_builds_a_form_only_for_each_witness(monkeypatch):
 
 
 @pytest.mark.parametrize("planar", [False, True])
-def test_cycle_counts_from_the_parent_table_equal_count_copies(planar):
-    # the last level scores each child of a cycle pattern from its
-    # parent's count and path table instead of counting the child
+def test_count_children_equals_count_copies(planar, monkeypatch):
+    # the last level scores a parent's children at once: a cycle from the
+    # parent's count and path rows, any other pattern child by child
+    patterns = [Pattern.from_graph(h) for h in (
+        *map(cycle_graph, range(3, 8)), star_graph(3), path_with_edges(3),
+        complete_graph(4))]
     children = 0
     for n in range(1, 8):
         for parent, generators in _nodes(n, EMPTY_FAMILY, planar):
             kept = [child for child, _ in search._accepted_children(
                 parent, generators, EMPTY_FAMILY, planar)]
-            masks = [child.bits[-1] for child in kept]
-            for k in range(3, 8):
-                want = [count_copies(cycle_graph(k), child) for child in kept]
-                assert search._cycle_counts(parent, k, masks) == want, \
-                    (to_graph6(parent), k)
+            for pattern in patterns:
+                want = [count_copies(pattern, child) for child in kept]
+                assert list(pattern.count_children(parent, kept)) == want, \
+                    (to_graph6(parent), pattern.graph.edges)
             children += len(kept)
     assert children == sum((ALL_CLASSES if not planar else PLANAR_CLASSES)[n]
                            for n in range(2, 8)) + (6966 if planar else 12346)
+    # a parent with no children is neither counted nor walked
+    monkeypatch.setattr(counting, "count_cycles", None)
+    monkeypatch.setattr(counting, "path_row", None)
+    for pattern in patterns:
+        assert list(pattern.count_children(complete_graph(5), [])) == []
+
+
+# families of cycle lengths with an extra pattern: (lengths, pattern)
+COMBINED_FAMILIES = [((4,), star_graph(3)), ((3,), path_with_edges(3)),
+                     ((4, 6), star_graph(4))]
+
+
+@pytest.mark.parametrize("planar", [False, True])
+def test_cycle_lengths_and_extra_patterns_combine(planar):
+    # the masks close no forbidden cycle, so the child test checks the
+    # extra patterns alone: each family keeps exactly the classes free of
+    # its cycle lengths that hold no copy of its extra pattern
+    for lengths, extra in COMBINED_FAMILIES:
+        cycles = ForbiddenFamily.of_lengths(*lengths)
+        family = ForbiddenFamily(cycles.cycle_lengths, (extra,))
+        for n in range(1, 8):
+            want = {canonical_form(g) for g in enumerate_constrained(
+                n, cycles, planar) if not count_copies_brute(extra, g)}
+            got = [canonical_form(g)
+                   for g in enumerate_constrained(n, family, planar)]
+            assert len(got) == len(set(got)) and set(got) == want, \
+                (lengths, extra.edges, n)
+        records = [extremal_number(7, cycle_graph(5), family,
+                                   SearchBudget(parallel_width=width),
+                                   require_planar=planar) for width in (1, 2)]
+        assert records[0].status == "complete" and records[0] == records[1]
+    # an extra cycle prunes later than a forbidden length, to the same yield
+    for k in (3, 4):
+        extra = ForbiddenFamily(frozenset(), (cycle_graph(k),))
+        for n in range(1, 8):
+            assert [g.bits for g in enumerate_constrained(n, extra, planar)] \
+                == [g.bits for g in enumerate_constrained(
+                    n, ForbiddenFamily.of_lengths(k), planar)], (k, n)
 
 
 @pytest.mark.parametrize("family", [

@@ -13,8 +13,9 @@ repeat calls a short kernel often enough to take 20 ms):
 - `root_partition`, `canonical_search`, `is_planar` and the C5, K1,3
   and P4 (the path with 4 edges) `count_copies` over the 6 966 planar
   classes on 8 vertices;
-- the three width-1 searches on 8 vertices: the most C5, planar C4-free
-  and planar with no family, and the most K1,3, planar with no family;
+- the width-1 searches on 8 vertices: the most C5, planar C4-free,
+  planar C4-free with no K1,4 (an extra pattern) and planar with no
+  family, and the most K1,3, planar with no family;
 - `Pattern.from_graph`, `count_copies`, `count_injective_homs` and
   `count_copies_brute` per call over the 1000 (h, g) pairs of the
   `copy-count-oracle` claim, drawn with its seed and `_random_graph`;
@@ -26,13 +27,15 @@ emptied before every call of the `count_copies_brute` row and of the
 claim rows, so they show what one fresh claim pays.
 
 It also counts, in one untimed run of each search, the calls that the
-search makes to the canonical layer and to planarity.  The run is appended under NAME to
-`runs` in FILE (default `BENCH_layers.json` beside this directory), with
-the git sha, the Python version and the core count.  Run it once per
-tree and alternate the trees, e.g. a `git archive` of the parent commit
-and this checkout, so that machine drift shows in the spread of each
-label's runs; the kernels that neither tree changed show that drift
-too.
+search makes to the canonical layer and to planarity, the cycle
+walker's early-exit tests (`cycles._walk_cycles` with `stop_at_first`)
+and the embedding plans compiled (`counting._plan`).  The run is
+appended under NAME to `runs` in FILE (default `BENCH_layers.json`
+beside this directory), with the git sha, the Python version and the
+core count.  Run it once per tree and alternate the trees, e.g. a `git
+archive` of the parent commit and this checkout, so that machine drift
+shows in the spread of each label's runs; the kernels that neither tree
+changed show that drift too.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def _sha(tree: Path) -> str:
 
 
 def measure() -> dict:
-    from planar_turan import canonical, search, verify
+    from planar_turan import canonical, counting, cycles, search, verify
     from planar_turan.counting import Pattern, count_copies
     from planar_turan.cycles import EMPTY_FAMILY, ForbiddenFamily
     from planar_turan.graph import (Graph, cycle_graph, empty_graph,
@@ -130,7 +133,9 @@ def measure() -> dict:
     kernel_us = {name: 1e6 * _best_of(run) / len(corpus)
                  for name, run in kernels.items()}
 
+    c4_free_k1_4 = ForbiddenFamily(frozenset({4}), (star_graph(4),))
     searches = {"c5.c4free.n8": (c5, c4_free),
+                "c5.c4free_k1_4.n8": (c5, c4_free_k1_4),
                 "c5.planar.n8": (c5, EMPTY_FAMILY),
                 "k1_3.planar.n8": (k13, EMPTY_FAMILY)}
     search_ms = {}
@@ -156,6 +161,7 @@ def measure() -> dict:
              ("root_partition", "canonical_search", "is_planar",
               "_accepted_children")}
     with_vertex = Graph.with_vertex
+    walk_cycles, plan = cycles._walk_cycles, counting._plan
     calls = {}
     try:
         search.root_partition = counted("root_partitions", saved["root_partition"])
@@ -166,6 +172,10 @@ def measure() -> dict:
         search._accepted_children = counted("parents_expanded",
                                             saved["_accepted_children"])
         Graph.with_vertex = counted("children_built", with_vertex)
+        cycles._walk_cycles = counted(
+            "", walk_cycles,
+            lambda a: "cycle_tests" if a[2] else "cycle_counts")
+        counting._plan = counted("plans_compiled", plan)
         for name, (pattern, family) in searches.items():
             counts.clear()
             search.extremal_number(8, pattern, family)
@@ -174,6 +184,7 @@ def measure() -> dict:
         for name, real in saved.items():
             setattr(search, name, real)
         Graph.with_vertex = with_vertex
+        cycles._walk_cycles, counting._plan = walk_cycles, plan
 
     return {"accepted_children": children_us,
             "kernels_us_per_call": {"corpus": f"{len(corpus)} planar classes "
