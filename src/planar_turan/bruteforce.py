@@ -7,15 +7,16 @@ compare the two sides; keep these independent of the optimized code
 paths.  Edges are probed on the host's bit rows (`bits[a] >> b & 1`).
 
 `count_copies_brute` lists the labelled copies of h on the points
-0..k-1: the image of E(h) under each of the k! permutations, as a
-bitmask of point pairs, each image kept once.  A k-subset of host
-vertices, listed in increasing order, names its vertices 0..k-1, so its
-copies are exactly the labelled copies that its induced pair mask
-contains.  One sound skip is allowed: a subset whose induced edges <
-|E(h)| holds no copy, since every copy on it has exactly |E(h)| edges,
-all inside it.  The copies, and how many lie inside each induced mask
-met, depend on h alone, so a bounded cache keyed by the immutable graph
-h keeps them; like everything here, they borrow nothing from `counting`.
+0..k-1: the image of E(h) under each of the k! permutations, ORed edge
+by edge into a bitmask of point pairs, each image kept once.  A
+k-subset of host vertices, listed in increasing order, names its
+vertices 0..k-1, so its copies are exactly the labelled copies that its
+induced pair mask contains.  One sound skip is allowed: a subset whose
+induced edges < |E(h)| holds no copy, since every copy on it has
+exactly |E(h)| edges, all inside it.  The copies, and how many lie
+inside each induced mask met, depend on h alone, so a bounded cache
+keyed by the immutable graph h keeps them; like everything here, they
+borrow nothing from `counting`.
 """
 
 from __future__ import annotations
@@ -64,14 +65,18 @@ def count_cycles_brute(g: Graph, k: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _labelled_copies(h: Graph) -> tuple[list, frozenset[int], dict[int, int]]:
+def _labelled_copies(h: Graph) -> tuple[list, set[int], dict[int, int]]:
     """The point pairs (i, j, pair bit), h's labelled copies as pair
     masks, and h's own memo of the copies inside each induced mask."""
     k = h.n
     pair = [[1 << (min(a, b) * k + max(a, b)) for b in range(k)]
             for a in range(k)]
-    shapes = frozenset(sum(pair[p[u]][p[v]] for u, v in h.edges)
-                       for p in permutations(range(k)))
+    shapes = set()
+    for p in permutations(range(k)):
+        image = 0
+        for u, v in h.edges:
+            image |= pair[p[u]][p[v]]
+        shapes.add(image)
     local = [(i, j, pair[i][j]) for i, j in combinations(range(k), 2)]
     return local, shapes, {}
 

@@ -23,11 +23,13 @@ K2,t is one pass over the host vertex pairs (a, b) through each common
 neighbour x, adding P(|N(a) & N(b)| - 1, t - 1); and trailing isolated
 vertices close on the unused host vertices.
 
-The plain injective-homomorphism counter, its oracle, walks pattern
-vertices in id order over the unused host vertices with no candidate
-masks, probing edges on the host's bit rows, and compiles nothing, so
-the two sides share no plan and no pruning logic and can cross-check
-each other.
+The plain injective-homomorphism counter, its oracle, places pattern
+vertices in id order, each on the unused host vertices adjacent to the
+images of its lower-id neighbours (an AND of host bit rows), and counts
+the last vertex's candidates.  It compiles nothing: no plan, no degree
+filter, no closing run, so the two sides share only that AND and can
+cross-check each other; `bruteforce.count_copies_brute` shares nothing
+with either and guards both.
 """
 
 from __future__ import annotations
@@ -210,11 +212,11 @@ def count_copies(h: Graph | Pattern, g: Graph) -> int:
 def count_injective_homs(h: Graph, g: Graph) -> int:
     """Injective edge-preserving maps V(h) -> V(g), vertices in id order.
 
-    Each pattern vertex walks the unused host vertices by bit, with no
-    candidate masks, and keeps one adjacent in g to the images of all
-    its lower-id neighbours; the last pattern vertex adds one for each
-    host vertex it keeps, with no further call.  As the oracle of
-    `_count_embeddings` it compiles nothing and shares no plan with it.
+    Each pattern vertex's candidates are one mask, the unused host
+    vertices ANDed with the host rows of its lower-id neighbours'
+    images; the last pattern vertex adds its candidates' count, with no
+    further call.  As the oracle of `_count_embeddings` it compiles
+    nothing and shares no plan, degree filter or closing run with it.
     """
     if h.n > g.n:
         return 0
@@ -227,21 +229,17 @@ def count_injective_homs(h: Graph, g: Graph) -> int:
     images = [-1] * h.n
 
     def rec(v: int, used: int) -> int:
+        cand = full & ~used
+        for u in earlier[v]:
+            cand &= bits[images[u]]
+        if v == last:
+            return cand.bit_count()
         total = 0
-        free = full & ~used
-        while free:
-            low = free & -free
-            free ^= low
-            w = low.bit_length() - 1
-            for u in earlier[v]:
-                if not bits[images[u]] >> w & 1:
-                    break
-            else:
-                if v == last:
-                    total += 1
-                else:
-                    images[v] = w
-                    total += rec(v + 1, used | low)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            images[v] = low.bit_length() - 1
+            total += rec(v + 1, used | low)
         return total
 
     return rec(0, 0)

@@ -24,6 +24,7 @@ from .counting import (Pattern, count_copies, count_injective_homs,
 from .cycles import EMPTY_FAMILY, ForbiddenFamily
 from .graph import (Graph, build_graph, cycle_graph, empty_graph,
                     path_with_edges, star_graph)
+from .graph6 import to_graph6
 from .params import beta, degeneracy, min_edge_degree_sum, tree_partition
 from .planarity import is_planar
 from .search import (HARD_VERTEX_CAP, SearchBudget, SearchIncomplete, _check,
@@ -231,9 +232,10 @@ def _claim_tree_partition_forest(budget: SearchBudget, deadline: float | None):
 
 def _claim_copy_count_oracle(budget: SearchBudget, deadline: float | None):
     """count_copies vs the automorphism identity and a labelled-copies
-    brute force on random pattern/host pairs.  A pattern drawn again
-    reuses its `Pattern`, keyed by the whole graph (vertex count and
-    edges)."""
+    brute force on random pattern/host pairs.  A mismatch row names the
+    pair in graph6, so `planar-turan count --pattern P --graph G`
+    replays it.  A pattern drawn again reuses its `Pattern`, keyed by
+    the whole graph (vertex count and edges)."""
     rng = random.Random(COPY_ORACLE_SEED)
     patterns: dict[Graph, Pattern] = {}
 
@@ -248,7 +250,8 @@ def _claim_copy_count_oracle(budget: SearchBudget, deadline: float | None):
         aut = pattern.automorphisms
         brute = count_copies_brute(h, g)
         if copies * aut != homs or copies != brute:
-            yield {"instance": f"pair #{i}",
+            yield {"instance": f"pair #{i}", "pattern": to_graph6(h),
+                   "graph": to_graph6(g),
                    "expected": f"copies*{aut}=={homs} and =={brute}",
                    "got": copies, "ok": False}
 

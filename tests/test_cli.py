@@ -29,6 +29,7 @@ from planar_turan.graph import (
     path_with_edges,
 )
 from planar_turan import cli, verify
+from planar_turan.graph6 import from_graph6
 from planar_turan.search import (ExtremalRecord, SearchBudget, SearchIncomplete,
                                  record_to_json)
 from planar_turan.verify import run_claim
@@ -343,6 +344,32 @@ def test_run_claim_passes_a_claim_whose_last_row_ends_past_the_limit(monkeypatch
     report = run_claim("beta-closed-forms", SearchBudget(time_limit=0.01))
     assert report.status == "pass"
     assert report.details[0]["runtime_s"] >= 0.05
+
+
+def test_copy_count_mismatch_row_replays_with_the_count_command(monkeypatch,
+                                                                capsys):
+    # count_copies off by one on pair #17's host alone: the one mismatch
+    # row names that pair in graph6, and `count` replays it
+    drawn = []
+    real = verify.count_copies
+
+    def off_by_one(pattern, g):
+        drawn.append((pattern.graph, g))
+        return real(pattern, g) + (len(drawn) == 18)
+
+    monkeypatch.setattr(verify, "count_copies", off_by_one)
+    report = run_claim("copy-count-oracle")
+    assert report.status == "fail"
+    row, summary = [d for d in report.details if not d["ok"]]
+    assert row["instance"] == "pair #17"
+    assert summary["got"] == "1 mismatches"
+    h, g = drawn[17]
+    assert h.n > 1 and g.edge_count > 0
+    assert from_graph6(row["pattern"]) == h and from_graph6(row["graph"]) == g
+    code, payload = _run_json(capsys, ["count", "--pattern", row["pattern"],
+                                       "--graph", row["graph"]])
+    assert code == EXIT_PASS
+    assert payload["count"] == row["got"] - 1 == real(Pattern.from_graph(h), g)
 
 
 def _forge_c5_c4free_line(directory):

@@ -1,14 +1,15 @@
 """Copy counting via two independent routes plus the path helpers."""
 
 import random
+from itertools import permutations
 from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planar_turan.bruteforce import (automorphism_count_brute, count_copies_brute,
-                                     count_paths_brute)
+from planar_turan.bruteforce import (_labelled_copies, automorphism_count_brute,
+                                     count_copies_brute, count_paths_brute)
 from planar_turan.canonical import automorphism_count
 from planar_turan.counting import (
     EmpiricalBound,
@@ -190,6 +191,39 @@ def test_injective_homs_into_complete_graphs_are_falling_factorials():
         for _ in range(6):
             h = _random_graph(rng, rng.randint(0, 6), rng.uniform(0.0, 1.0))
             assert count_injective_homs(h, complete_graph(n)) == perm(n, h.n)
+
+
+def _homs_by_permutations(h, g):
+    """Injective maps V(h) -> V(g) that keep every edge, listed plainly."""
+    return sum(1 for img in permutations(range(g.n), h.n)
+               if all(g.has_edge(img[u], img[v]) for u, v in h.edges))
+
+
+def test_injective_homs_equal_a_plain_permutation_count():
+    # the oracle of the embedding counter checked by the plainest route,
+    # on every labelled pattern with at most 4 vertices
+    rng = random.Random(4242)
+    hosts = [complete_graph(3), complete_graph(6), empty_graph(6),
+             cycle_graph(6)] + [_random_graph(rng, n, 0.5) for n in (5, 6, 6)]
+    for k in range(0, 5):
+        for h in _labelled_graphs(k):
+            assert count_injective_homs(h, h) == automorphism_count_brute(h)
+            for g in hosts:
+                assert count_injective_homs(h, g) == _homs_by_permutations(h, g)
+
+
+def test_labelled_copies_times_automorphisms_is_all_labellings():
+    # orbit-stabiliser: the k! labellings of h fall into its labelled
+    # copies, |Aut(h)| labellings each
+    rng = random.Random(5151)
+    patterns = [h for k in range(0, 5) for h in _labelled_graphs(k)]
+    for c in enumerate_constrained(5, require_planar=False):
+        order = list(range(5))
+        rng.shuffle(order)
+        patterns.append(c.relabel(order))
+    for h in patterns:
+        copies = _labelled_copies(h)[1]
+        assert len(copies) * automorphism_count_brute(h) == factorial(h.n)
 
 
 @st.composite
