@@ -2,11 +2,11 @@
 
 Every builder returns a ConstructionOutput whose certification facts
 (planarity, forbidden-family freeness, pattern count) `_certify`
-recomputes with the planarity/cycles/counting modules, never asserting
-them blindly.  A builder that fails its own certification raises
-CertificationError: that is a bug or an impossible parameter choice,
-not a soft warning.  `_certify` also refuses a graph over the vertex
-budget n of a family sized by n, with ConstructionError.
+recomputes rather than asserts, with `certification_facts`, which
+re-certifies the search's witnesses too.  A failed certification
+raises CertificationError: that is a bug or an impossible parameter
+choice, not a soft warning.  `_certify` also refuses a graph over the
+vertex budget n of a family sized by n, with ConstructionError.
 
 Every family sized by n is a base graph plus m copies: the blow-ups
 clone the vertices of an independent set of a tree or of C_k
@@ -23,9 +23,9 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .counting import count_copies
+from .counting import Pattern, count_copies
 from .cycles import EMPTY_FAMILY, ForbiddenFamily, is_family_free
-from .graph import Graph, build_graph, cycle_graph, is_tree
+from .graph import Graph, build_graph, cycle_graph, is_connected, is_tree
 from .params import beta
 from .planarity import is_planar
 
@@ -51,6 +51,19 @@ class Certification:
     count_is_exact: bool  # declared == computed vs declared <= computed
 
 
+def certification_facts(graph: Graph, pattern: Graph | Pattern,
+                        family: ForbiddenFamily, *, planar: bool = True,
+                        connected: bool = False, count_cap: int | None = None):
+    """(planar, family-free, connected, count) of graph: planarity and
+    connectivity only when asked, the count only up to count_cap
+    vertices (None: no cap).  A fact not computed is None."""
+    return (is_planar(graph).is_planar if planar else None,
+            is_family_free(graph, family),
+            is_connected(graph) if connected else None,
+            None if count_cap is not None and graph.n > count_cap
+            else count_copies(pattern, graph))
+
+
 @dataclass(frozen=True)
 class ConstructionOutput:
     graph: Graph
@@ -64,13 +77,10 @@ def _certify(graph: Graph, labels: dict[str, int], family: ForbiddenFamily,
     if budget is not None and graph.n > budget:
         raise ConstructionError(
             f"{graph.n} vertices exceed the vertex budget {budget}")
-    planar_ok = is_planar(graph).is_planar
-    family_free = is_family_free(graph, family)
-    computed: int | None = None
-    count_ok = True
-    if graph.n <= count_cap:
-        computed = count_copies(pattern, graph)
-        count_ok = computed == declared if exact else computed >= declared
+    planar_ok, family_free, _, computed = certification_facts(
+        graph, pattern, family, count_cap=count_cap)
+    count_ok = computed is None or (
+        computed == declared if exact else computed >= declared)
     if not (planar_ok and family_free and count_ok):
         raise CertificationError(
             f"certification failed for {pattern_name} construction on "

@@ -53,8 +53,9 @@ empty graph, whose only child is K1.  `extremal_number` takes from it
 the trunk, every class two vertices short of n, in the calling process;
 one task per trunk graph then walks the last two levels, and `_grow`
 scores the last level as it expands it, each parent's children at once
-(`Pattern.count_children`).  `_recertify` recounts every witness with
-`count_copies`, so each reported maximum has two routes.  `_fan_out`
+(`Pattern.count_children`).  `_recertify` checks every witness with
+`certification_facts`: family freeness, a fresh count, and planarity
+and connectivity as asked, so each maximum has two routes.  `_fan_out`
 shares the tasks between the caller and `parallel_width - 1` children
 forked from it, which share the trunk instead of receiving it pickled.
 Every task index is in a pipe before the first fork and each process
@@ -77,9 +78,9 @@ from functools import partial
 
 from .canonical import (CanonicalForm, Generators, canonical_form,
                         canonical_search, orbits_of, root_partition)
-from .counting import Pattern, count_copies
-from .cycles import (EMPTY_FAMILY, ForbiddenFamily, closing_partners,
-                     is_family_free)
+from .constructions import certification_facts
+from .counting import Pattern
+from .cycles import EMPTY_FAMILY, ForbiddenFamily, closing_partners
 from .graph import Graph, empty_graph, is_connected
 from .graph6 import to_graph6
 from .planarity import is_planar
@@ -518,12 +519,16 @@ def extremal_number(n: int, pattern: Graph | Pattern,
 def _recertify(record: ExtremalRecord) -> None:
     for form in record.witnesses:
         g = form.as_graph()
-        ok = (is_family_free(g, record.family)
-              and (not record.require_planar or is_planar(g).is_planar)
-              and (not record.require_connected or is_connected(g))
-              and count_copies(record.pattern, g) == record.max_count)
-        if not ok:
-            raise RuntimeError(f"witness failed re-certification: {to_graph6(g)}")
+        *flags, count = certification_facts(
+            g, record.pattern, record.family, planar=record.require_planar,
+            connected=record.require_connected)
+        failed = [f"{name}=False" for name, ok in zip(
+            ("planar", "family_free", "connected"), flags) if ok is False]
+        if count != record.max_count:
+            failed.append(f"count={count}, max_count={record.max_count}")
+        if failed:
+            raise RuntimeError(f"witness failed re-certification: "
+                               f"{to_graph6(g)}: {', '.join(failed)}")
 
 
 # ======================================================================

@@ -103,10 +103,9 @@ def random_tree(rng: random.Random, n: int) -> Graph:
     return build_graph(n, edges)
 
 
-def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [(a, b) for a in range(n) for b in range(a + 1, n)
-             if rng.random() < p]
-    return build_graph(n, edges)
+def _random_edges(rng: random.Random, n: int, p: float) -> tuple[int, tuple]:
+    return n, tuple((a, b) for a in range(n) for b in range(a + 1, n)
+                    if rng.random() < p)
 
 
 def _label(family: str, params: dict, n=None) -> str:
@@ -234,17 +233,19 @@ def _claim_copy_count_oracle(budget: SearchBudget, deadline: float | None):
     """count_copies vs the automorphism identity and a labelled-copies
     brute force on random pattern/host pairs.  A mismatch row names the
     pair in graph6, so `planar-turan count --pattern P --graph G`
-    replays it.  A pattern drawn again reuses its `Pattern`, keyed by
-    the whole graph (vertex count and edges)."""
+    replays it.  Each distinct pattern, keyed by its vertex count and
+    edges as drawn, is built and compiled once."""
     rng = random.Random(COPY_ORACLE_SEED)
-    patterns: dict[Graph, Pattern] = {}
+    patterns: dict[tuple, Pattern] = {}
 
     def trial(i):
-        h = _random_graph(rng, rng.randint(1, 5), rng.uniform(0.2, 0.9))
-        g = _random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.7))
-        pattern = patterns.get(h)
-        if pattern is None:
-            pattern = patterns[h] = Pattern.from_graph(h)
+        key = _random_edges(rng, rng.randint(1, 5), rng.uniform(0.2, 0.9))
+        g = build_graph(*_random_edges(rng, rng.randint(1, 8),
+                                       rng.uniform(0.1, 0.7)))
+        if key not in patterns:
+            patterns[key] = Pattern.from_graph(build_graph(*key))
+        pattern = patterns[key]
+        h = pattern.graph
         copies = count_copies(pattern, g)
         homs = count_injective_homs(h, g)
         aut = pattern.automorphisms

@@ -3,6 +3,7 @@ import csv
 import errno
 import json
 import os
+import random
 import threading
 import time
 
@@ -349,7 +350,8 @@ def test_run_claim_passes_a_claim_whose_last_row_ends_past_the_limit(monkeypatch
 def test_copy_count_mismatch_row_replays_with_the_count_command(monkeypatch,
                                                                 capsys):
     # count_copies off by one on pair #17's host alone: the one mismatch
-    # row names that pair in graph6, and `count` replays it
+    # row names that pair in graph6, and `count` replays it; the claim
+    # checks the pairs its seed draws, one G(n, p) after another
     drawn = []
     real = verify.count_copies
 
@@ -363,6 +365,15 @@ def test_copy_count_mismatch_row_replays_with_the_count_command(monkeypatch,
     row, summary = [d for d in report.details if not d["ok"]]
     assert row["instance"] == "pair #17"
     assert summary["got"] == "1 mismatches"
+    rng = random.Random(verify.COPY_ORACLE_SEED)
+
+    def gnp(n, p):
+        return build_graph(n, [(a, b) for a in range(n)
+                               for b in range(a + 1, n) if rng.random() < p])
+
+    assert drawn == [(gnp(rng.randint(1, 5), rng.uniform(0.2, 0.9)),
+                      gnp(rng.randint(1, 8), rng.uniform(0.1, 0.7)))
+                     for _ in range(1000)]
     h, g = drawn[17]
     assert h.n > 1 and g.edge_count > 0
     assert from_graph6(row["pattern"]) == h and from_graph6(row["graph"]) == g

@@ -207,6 +207,17 @@ def test_certification_rejects_false_declarations():
         # planarity is checked unconditionally: K5's 10 triangles are right
         _certify(complete_graph(5), {}, EMPTY_FAMILY, cycle_graph(3), "C3",
                  10, True, 80)
+    with pytest.raises(CertificationError, match="declared=3, computed=4"):
+        # an exact count is refused above the recount as well as below it
+        _certify(complete_graph(4), {}, EMPTY_FAMILY, cycle_graph(3), "C3",
+                 3, True, 80)
+    with pytest.raises(CertificationError, match="declared=5, computed=4"):
+        # a lower bound is still refused when the recount falls below it
+        _certify(complete_graph(4), {}, EMPTY_FAMILY, cycle_graph(3), "C3",
+                 5, False, 80)
+    with pytest.raises(CertificationError, match="family_free=False"):
+        _certify(cycle_graph(4), {}, ForbiddenFamily.of_lengths(4),
+                 cycle_graph(4), "C4", 1, True, 80)
 
 
 def test_certification_refuses_a_graph_over_its_vertex_budget():
@@ -233,6 +244,10 @@ def test_count_cap_skips_recount():
     cert = out.certification
     assert cert.computed_count is None
     assert cert.declared_count == 153
+    # the cap is inclusive: a graph of count_cap vertices is recounted
+    n = out.graph.n
+    assert cycle_blowup(4, 20, count_cap=n).certification.computed_count == 153
+    assert cycle_blowup(4, 20, count_cap=n - 1).certification.computed_count is None
 
 
 def test_build_construction_dispatch():

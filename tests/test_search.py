@@ -9,6 +9,7 @@ class counts carry the check to n = 6 and 7.
 import dataclasses
 import json
 import os
+import re
 import signal
 import threading
 import time
@@ -866,9 +867,22 @@ def test_recertify_refuses_a_disconnected_witness_of_a_connected_search():
     two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     forged = dataclasses.replace(rec, n=6, max_count=2,
                                  witnesses=(canonical_form(two_triangles),))
-    with pytest.raises(RuntimeError, match="re-certification"):
-        search._recertify(forged)
+    # K5 less an edge (rec's witness) holds a C4; K5's 10 triangles are
+    # right but it is not planar
+    k5 = dataclasses.replace(rec, max_count=10,
+                             witnesses=(canonical_form(complete_graph(5)),))
+    for bad, failed in [
+            (forged, "connected=False"),
+            (dataclasses.replace(rec, family=C4_FREE), "family_free=False"),
+            (k5, "planar=False"),
+            (dataclasses.replace(rec, max_count=8), "count=7, max_count=8"),
+            (dataclasses.replace(rec, max_count=6), "count=7, max_count=6")]:
+        g6 = to_graph6(bad.witnesses[0].as_graph())
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"witness failed re-certification: {g6}: {failed}") + "$"):
+            search._recertify(bad)
     search._recertify(dataclasses.replace(forged, require_connected=False))
+    search._recertify(dataclasses.replace(k5, require_planar=False))
 
 
 def _forge_c5_c4free_line(directory):

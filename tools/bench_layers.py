@@ -18,7 +18,7 @@ repeat calls a short kernel often enough to take 20 ms):
   family, and the most K1,3, planar with no family;
 - `Pattern.from_graph`, `count_copies`, `count_injective_homs` and
   `count_copies_brute` per call over the 1000 (h, g) pairs of the
-  `copy-count-oracle` claim, drawn with its seed and `_random_graph`;
+  `copy-count-oracle` claim, drawn with its seed and its G(n, p) draw;
 - `run_claim` of the three claims in the `verify-constructions`
   benchmark workload.
 
@@ -205,6 +205,14 @@ def _clear_oracle_cache() -> None:
         cache.cache_clear()
 
 
+def _random_graph(rng: random.Random, n: int, p: float):
+    """G(n, p), drawing from rng in the order the claim does, so the
+    pairs are the claim's in every tree."""
+    from planar_turan.graph import build_graph
+    return build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                           if rng.random() < p])
+
+
 def copy_oracle_kernels() -> dict:
     """The counting kernels of the `copy-count-oracle` claim, per call
     over the claim's own pairs."""
@@ -216,8 +224,8 @@ def copy_oracle_kernels() -> dict:
     rng = random.Random(verify.COPY_ORACLE_SEED)
     pairs = []
     for _ in range(ORACLE_PAIRS):
-        h = verify._random_graph(rng, rng.randint(1, 5), rng.uniform(0.2, 0.9))
-        g = verify._random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.7))
+        h = _random_graph(rng, rng.randint(1, 5), rng.uniform(0.2, 0.9))
+        g = _random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.7))
         pairs.append((h, g))
     patterns = [(Pattern.from_graph(h), g) for h, g in pairs]
     kernels = {
